@@ -1,204 +1,94 @@
-"""Randomly edge-colored graphs with O(1) deletion and uniform sampling.
+"""Randomly edge-colored graphs, stored as immutable integer arrays.
 
-The greedy engines repeatedly (a) draw a uniform alive edge or vertex,
-(b) delete vertices together with their incident edges, and (c) delete an
-entire color class. Everything here is organized so each of those is O(1)
-expected time: alive edges and vertices live in dense arrays with
-swap-removal, and every edge knows its position inside both endpoint
-incidence lists so unlinking never scans.
+A ColoredGraph is one instance: n vertices, q colors and m edges
+(u, v, color). The engines read it and never change it, so one graph can
+be run any number of times.
 
 Vertices are 0-based ids, colors are 1-based, edge ids index ColoredGraph.edges.
 """
 
 from __future__ import annotations
 
-import random
+from collections.abc import Sequence
+
+import numpy as np
+
+
+class Edges(Sequence):
+    """Read-only edge list over an (m, 3) int64 array of (u, v, color) rows.
+
+    Indexing and iteration give (u, v, color) tuples of Python ints, ==
+    compares whole edge lists, and np.asarray(edges) is the array itself.
+    """
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray):
+        array.flags.writeable = False
+        self.array = array
+
+    def __len__(self) -> int:
+        return len(self.array)
+
+    def __getitem__(self, eid: int) -> tuple[int, int, int]:
+        return tuple(self.array[eid].tolist())
+
+    def __iter__(self):
+        return map(tuple, self.array.tolist())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Edges):
+            return np.array_equal(self.array, other.array)
+        return NotImplemented
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.array(self.array, dtype=dtype, copy=copy)
 
 
 class ColoredGraph:
-    """Mutable colored graph tracking alive vertices, edges and colors.
+    """Colored graph instance: n_initial vertices, q_total colors, edges.
 
-    Counters:
-      nu           alive vertex count
-      mu_edges     alive edge count
-      q_remaining  colors not yet consumed by delete_color_class
+    Nothing changes it after construction, and its edge array is read-only.
     """
 
-    __slots__ = (
-        "n_initial", "m_initial", "q_total", "seed", "edges", "q_remaining",
-        "_inc", "_pos_u", "_pos_v", "_alive_edges", "_edge_slot",
-        "_alive_verts", "_vert_slot", "_color_edges", "_consumed",
-    )
+    __slots__ = ("n_initial", "m_initial", "q_total", "seed", "edges")
 
-    def __init__(self, n: int, q: int, edges: list[tuple[int, int, int]],
-                 seed: int | None = None):
+    def __init__(self, n: int, q: int, edges, seed: int | None = None):
         if n < 1:
             raise ValueError(f"need at least one vertex, got n={n}")
         if q < 0:
             raise ValueError(f"negative color count q={q}")
-        if edges and q < 1:
+        arr = np.array(edges, dtype=np.int64).reshape(len(edges), 3)
+        if len(arr) and q < 1:
             raise ValueError("q=0 with a nonempty edge set")
+        u, v, color = arr.T
+        checks = (((u < 0) | (u >= n) | (v < 0) | (v >= n), "endpoint out of range"),
+                  (u == v, "self loop"),
+                  ((color < 1) | (color > q), f"color outside 1..{q}"))
+        for bad, what in checks:
+            if bad.any():
+                eid = int(np.argmax(bad))
+                raise ValueError(f"edge {eid} {tuple(arr[eid].tolist())}: {what}")
+        key = np.sort(np.minimum(u, v) * n + np.maximum(u, v))
+        dup = key[1:][key[1:] == key[:-1]]
+        if dup.size:
+            raise ValueError(f"duplicate edge {divmod(int(dup[0]), n)}")
         self.n_initial = n
-        self.m_initial = len(edges)
+        self.m_initial = len(arr)
         self.q_total = q
         self.seed = seed
-        self.edges = edges
-        self.q_remaining = q
+        self.edges = Edges(arr)
 
-        self._inc: list[list[int]] = [[] for _ in range(n)]
-        self._pos_u = [0] * len(edges)
-        self._pos_v = [0] * len(edges)
-        self._color_edges: list[list[int]] = [[] for _ in range(q + 1)]
-        seen: set[tuple[int, int]] = set()
-        for eid, (u, v, color) in enumerate(edges):
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge {eid}: endpoint out of range")
-            if u == v:
-                raise ValueError(f"edge {eid}: self loop at {u}")
-            if not 1 <= color <= q:
-                raise ValueError(f"edge {eid}: color {color} outside 1..{q}")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise ValueError(f"duplicate edge {key}")
-            seen.add(key)
-            self._pos_u[eid] = len(self._inc[u])
-            self._inc[u].append(eid)
-            self._pos_v[eid] = len(self._inc[v])
-            self._inc[v].append(eid)
-            self._color_edges[color].append(eid)
 
-        self._alive_edges = list(range(len(edges)))
-        self._edge_slot = list(range(len(edges)))
-        self._alive_verts = list(range(n))
-        self._vert_slot = list(range(n))
-        self._consumed = bytearray(q + 1)
-
-    # -- counters ----------------------------------------------------------
-
-    @property
-    def nu(self) -> int:
-        return len(self._alive_verts)
-
-    @property
-    def mu_edges(self) -> int:
-        return len(self._alive_edges)
-
-    def is_fresh(self) -> bool:
-        """True if nothing has been deleted yet."""
-        return (self.nu == self.n_initial
-                and self.mu_edges == self.m_initial
-                and self.q_remaining == self.q_total)
-
-    # -- sampling ----------------------------------------------------------
-
-    def random_alive_edge(self, rng: random.Random) -> int | None:
-        """Uniform alive edge id, or None if no edges remain."""
-        k = len(self._alive_edges)
-        if k == 0:
-            return None
-        return self._alive_edges[rng.randrange(k)]
-
-    def random_alive_vertex(self, rng: random.Random) -> int | None:
-        """Uniform alive vertex, or None if no vertices remain."""
-        k = len(self._alive_verts)
-        if k == 0:
-            return None
-        return self._alive_verts[rng.randrange(k)]
-
-    def random_neighbor(self, v: int, rng: random.Random) -> tuple[int, int] | None:
-        """Uniform alive edge at v, returned as (other endpoint, edge id).
-
-        None if v is isolated. With simple graphs this is also a uniform
-        draw over the alive neighbors of v.
-        """
-        self._check_alive(v)
-        inc = self._inc[v]
-        if not inc:
-            return None
-        eid = inc[rng.randrange(len(inc))]
-        u, w, _ = self.edges[eid]
-        return (w if u == v else u, eid)
-
-    def degree(self, v: int) -> int:
-        """Alive degree of an alive vertex."""
-        self._check_alive(v)
-        return len(self._inc[v])
-
-    def alive_edge_ids(self) -> list[int]:
-        return list(self._alive_edges)
-
-    def alive_vertex_ids(self) -> list[int]:
-        return list(self._alive_verts)
-
-    # -- deletion ----------------------------------------------------------
-
-    def delete_vertex(self, v: int) -> int:
-        """Delete an alive vertex and its incident edges; return prior degree.
-
-        Deleting a vertex twice is a contract violation and raises.
-        """
-        self._check_alive(v)
-        inc = self._inc[v]
-        deg = len(inc)
-        while inc:
-            self._kill_edge(inc[-1])
-        slot = self._vert_slot[v]
-        last = self._alive_verts[-1]
-        self._alive_verts[slot] = last
-        self._vert_slot[last] = slot
-        self._alive_verts.pop()
-        self._vert_slot[v] = -1
-        return deg
-
-    def delete_color_class(self, color: int) -> int:
-        """Delete every alive edge of this color; return how many were removed.
-
-        The first call for a color marks it consumed and decrements
-        q_remaining, even when no alive edges remained to remove (the class
-        may have been emptied by earlier vertex deletions). Later calls for
-        the same color remove nothing and leave q_remaining alone.
-        """
-        if not 1 <= color <= self.q_total:
-            raise ValueError(f"color {color} outside 1..{self.q_total}")
-        removed = 0
-        slot = self._edge_slot
-        for eid in self._color_edges[color]:
-            if slot[eid] != -1:
-                self._kill_edge(eid)
-                removed += 1
-        if not self._consumed[color]:
-            self._consumed[color] = 1
-            self.q_remaining -= 1
-        return removed
-
-    # -- internals ---------------------------------------------------------
-
-    def _check_alive(self, v: int) -> None:
-        if not 0 <= v < self.n_initial or self._vert_slot[v] == -1:
-            raise ValueError(f"vertex {v} is not alive")
-
-    def _kill_edge(self, eid: int) -> None:
-        slot = self._edge_slot[eid]
-        if slot == -1:
-            return
-        last = self._alive_edges[-1]
-        self._alive_edges[slot] = last
-        self._edge_slot[last] = slot
-        self._alive_edges.pop()
-        self._edge_slot[eid] = -1
-        u, v, _ = self.edges[eid]
-        self._unlink(eid, u, self._pos_u[eid])
-        self._unlink(eid, v, self._pos_v[eid])
-
-    def _unlink(self, eid: int, w: int, pos: int) -> None:
-        inc = self._inc[w]
-        moved = inc[-1]
-        inc[pos] = moved
-        if self.edges[moved][0] == w:
-            self._pos_u[moved] = pos
-        else:
-            self._pos_v[moved] = pos
-        inc.pop()
+def _pair_from_index(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pair (u, v), u < v, at index k = v(v-1)/2 + u of the list
+    (0,1), (0,2), (1,2), (0,3), ...; the first n(n-1)/2 indices are the
+    pairs of vertices 0..n-1."""
+    v = np.floor((1 + np.sqrt(1 + 8 * k.astype(np.float64))) / 2).astype(np.int64)
+    # the float root can land one off either way at a triangular number
+    v -= v * (v - 1) // 2 > k
+    v += (v + 1) * v // 2 <= k
+    return k - v * (v - 1) // 2, v
 
 
 def generate(n: int, m: int, q: int, seed: int) -> ColoredGraph:
@@ -217,39 +107,21 @@ def generate(n: int, m: int, q: int, seed: int) -> ColoredGraph:
     if q < 0:
         raise ValueError(f"negative color count q={q}")
 
-    rng = random.Random(seed)
-    pairs: list[tuple[int, int]]
-    if m * 3 > max_m and max_m <= 4_000_000:
-        # dense enough that rejection would churn; a uniform m-subset of the
-        # enumerated pairs has the same law
-        all_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        pairs = rng.sample(all_pairs, m)
-    else:
-        seen: set[tuple[int, int]] = set()
-        pairs = []
-        while len(pairs) < m:
-            u = rng.randrange(n)
-            v = rng.randrange(n)
-            if u == v:
-                continue
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                continue
-            seen.add(key)
-            pairs.append(key)
-    edges = [(u, v, rng.randint(1, q)) for (u, v) in pairs]
-    return ColoredGraph(n, q, edges, seed=seed)
+    rng = np.random.default_rng(seed)
+    u, v = _pair_from_index(rng.choice(max_m, m, replace=False))
+    color = rng.integers(1, q + 1, size=m) if m else np.zeros(0, np.int64)
+    return ColoredGraph(n, q, np.stack([u, v, color], axis=1), seed=seed)
 
 
 def dump_graph(g: ColoredGraph) -> str:
-    """Serialize the original instance: 'n m q' then one 'u v color' per edge."""
+    """Serialize the instance: 'n m q' then one 'u v color' per edge."""
     lines = [f"{g.n_initial} {g.m_initial} {g.q_total}"]
     lines.extend(f"{u} {v} {c}" for (u, v, c) in g.edges)
     return "\n".join(lines) + "\n"
 
 
 def load_graph(text: str) -> ColoredGraph:
-    """Inverse of dump_graph. The loaded graph is fresh (no deletions)."""
+    """Inverse of dump_graph."""
     lines = text.strip("\n").split("\n")
     head = lines[0].split()
     if len(head) != 3:

@@ -1,15 +1,13 @@
 """Seed derivation for reproducible experiments.
 
-Every random draw in this package flows through a random.Random instance.
-Independent streams (one per Monte Carlo cell and rep, one per purpose) are
-derived from a single master seed with mix(), a splitmix64 finalizer pass
-per index. Changing mix() would silently change every published number, so
+Every random draw in this package comes from a numpy Generator seeded
+with an integer. Independent streams (one per Monte Carlo cell and rep,
+one per purpose) are derived from a single master seed with mix(), a
+splitmix64 finalizer pass per index. Changing mix() would silently change every published number, so
 the constants are pinned here.
 """
 
 from __future__ import annotations
-
-import random
 
 _MASK64 = (1 << 64) - 1
 
@@ -32,7 +30,3 @@ def mix(master_seed: int, *indices: int) -> int:
     for ix in indices:
         s = splitmix64(s ^ (ix & _MASK64))
     return s
-
-
-def make_rng(seed: int) -> random.Random:
-    return random.Random(seed & _MASK64)

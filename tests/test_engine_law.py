@@ -127,9 +127,10 @@ def test_engine_samples_exact_law(name, algorithm):
     assert math.isclose(sum(law.values()), 1.0)
     runner = run_greedy if algorithm == "greedy" else run_modified_greedy
     base = 1_000_003 * (1 + sorted(INSTANCES).index(name))
+    g = ColoredGraph(n, q, edges)
     counts = Counter()
     for seed in range(base, base + RUNS):
-        r = runner(ColoredGraph(n, q, edges), seed)
+        r = runner(g, seed)
         counts[(r.mu, r.steps_total, r.isolated_deletions)] += 1
     assert_matches_law(counts, law, RUNS)
 

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -26,7 +28,7 @@ class TestGreedy:
         r = run_greedy(g, 3)
         assert r.mu == 1
         assert r.steps_total == 1
-        assert g.mu_edges == 0
+        assert r.trajectory[-1][2] == 0
 
     def test_same_color_pair_yields_one_match(self):
         g = ColoredGraph(4, 1, [(0, 1, 1), (2, 3, 1)])
@@ -57,11 +59,17 @@ class TestGreedy:
         assert r.graph_seed == 21
         assert r.run_seed == 5
 
-    def test_needs_fresh_graph(self):
+    def test_graph_is_reusable(self):
         g = fresh()
-        run_greedy(g, 5)
-        with pytest.raises(ValueError):
-            run_greedy(g, 5)
+        assert run_greedy(g, 5) == run_greedy(g, 5)
+        assert g.edges == fresh().edges
+
+    def test_accepts_random_instance(self):
+        g = fresh()
+        a = run_greedy(g, random.Random(5))
+        assert a == run_greedy(g, random.Random(5))
+        assert a.run_seed is None
+        assert verify_result(g, a).ok
 
     def test_determinism(self):
         a = run_greedy(fresh(), 99)
@@ -123,11 +131,10 @@ class TestModified:
         b = run_modified_greedy(fresh(), 99)
         assert a == b
 
-    def test_needs_fresh_graph(self):
+    def test_graph_is_reusable(self):
         g = fresh()
-        run_modified_greedy(g, 5)
-        with pytest.raises(ValueError):
-            run_modified_greedy(g, 5)
+        assert run_modified_greedy(g, 5) == run_modified_greedy(g, 5)
+        assert g.edges == fresh().edges
 
     def test_result_echo(self):
         r = run_modified_greedy(fresh(seed=8), 5)
@@ -195,6 +202,17 @@ class TestVerify:
         rep = verify_result(g0, r)
         assert not rep.ok
 
+    def test_flags_truncated_matching(self):
+        g = fresh()
+        for runner in (run_greedy, run_modified_greedy):
+            r = runner(g, 17)
+            r.matching.pop()
+            r.mu -= 1
+            r.steps_total -= 1
+            rep = verify_result(g, r)
+            assert not rep.ok
+            assert "not maximal" in rep.failure
+
     def test_flags_mu_mismatch(self):
         r = run_greedy(fresh(), 17)
         r.mu += 1
@@ -207,10 +225,10 @@ class TestVerify:
        seed=st.integers(0, 10 ** 9), run_seed=st.integers(0, 10 ** 9))
 def test_both_engines_terminate_and_verify(n, m_frac, q, seed, run_seed):
     m = int(m_frac * n * (n - 1) // 2)
+    g = generate(n, m, q, seed=seed)
     for runner in (run_greedy, run_modified_greedy):
-        g = generate(n, m, q, seed=seed)
         r = runner(g, run_seed, sample_stride=1)
-        assert g.mu_edges == 0
+        assert r.trajectory[-1][2] == 0
         assert r.steps_total <= n + m
-        rep = verify_result(generate(n, m, q, seed=seed), r)
+        rep = verify_result(g, r)
         assert rep.ok, rep.failure
