@@ -1,9 +1,11 @@
 import math
+import random
 from collections import Counter
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rainbow_greedy.colored_graph import (
     ColoredGraph,
@@ -12,7 +14,35 @@ from rainbow_greedy.colored_graph import (
     generate,
     load_graph,
 )
+from rainbow_greedy.greedy_engines import run_greedy, run_modified_greedy, verify_result
 from test_engine_law import chi2_critical
+
+ENGINES = (run_greedy, run_modified_greedy)
+
+
+def triangle():
+    # colors all distinct
+    return ColoredGraph(3, 3, [(0, 1, 1), (1, 2, 2), (0, 2, 3)])
+
+
+def star(leaves=5):
+    return ColoredGraph(leaves + 1, leaves,
+                        [(0, i, i) for i in range(1, leaves + 1)])
+
+
+def disjoint_stars(copies, leaves):
+    # star k has center k*(leaves+1) and leaves center+1..center+leaves;
+    # every edge has its own color, so the stars never interact
+    size = leaves + 1
+    return ColoredGraph(copies * size, copies * leaves,
+                        [(k * size, k * size + i, k * leaves + i)
+                         for k in range(copies) for i in range(1, leaves + 1)])
+
+
+def matched_leaves(r, copies):
+    # each star is matched exactly once; its leaf number is v - center
+    assert len(r.matching) == copies
+    return [v - u for (u, v, _) in r.matching]
 
 
 class TestGenerate:
@@ -106,6 +136,143 @@ class TestUniformity:
         assert stat < chi2_critical(6)
 
 
+class TestSampling:
+    """The graph draws nothing any more; the engines do, and each draw must
+    be uniform over what remains. These tests read the draws off runs."""
+
+    def test_alive_edge_empty_and_single(self):
+        for run in ENGINES:
+            r = run(generate(5, 0, 2, seed=1), 0)
+            assert r.matching == [] and r.steps_total == 0
+            assert run(ColoredGraph(2, 1, [(0, 1, 1)]), 0).matching == [(0, 1, 1)]
+
+    def test_alive_edge_uniform(self):
+        # greedy matches the first edge it draws in each of 1000 disjoint
+        # 3-leaf stars: 30 runs give 30000 draws, each leaf 1/3
+        g = disjoint_stars(1000, 3)
+        rng = random.Random(12345)
+        counts = Counter()
+        for _ in range(30):
+            counts.update(matched_leaves(run_greedy(g, rng), 1000))
+        draws = 30000
+        assert sorted(counts) == [1, 2, 3]
+        bound = 3 * math.sqrt(draws * (1 / 3) * (2 / 3))
+        for k in counts.values():
+            assert abs(k - draws / 3) < bound
+            assert abs(k / draws - 1 / 3) < 0.02
+
+    def test_alive_vertex_uniform(self):
+        # one edge and two isolated vertices: uniform draws over the alive
+        # vertices delete 0, 1, 2 isolated vertices before an endpoint with
+        # probability 1/2, 1/3, 1/6
+        g = ColoredGraph(4, 1, [(0, 1, 1)])
+        rng = random.Random(777)
+        draws = 12000
+        counts = Counter(run_modified_greedy(g, rng).isolated_deletions
+                         for _ in range(draws))
+        assert sorted(counts) == [0, 1, 2]
+        for j, p in enumerate((1 / 2, 1 / 3, 1 / 6)):
+            assert abs(counts[j] - draws * p) < 3 * math.sqrt(draws * p * (1 - p))
+
+    def test_random_neighbor_isolated(self):
+        # once an edge of the path 0-1-2 is matched, the path's third vertex
+        # has no neighbor left; drawn before the edge (3, 4) goes, it is
+        # deleted as isolated and matches nothing
+        g = ColoredGraph(5, 3, [(0, 1, 1), (1, 2, 2), (3, 4, 3)])
+        results = [run_modified_greedy(g, seed) for seed in range(200)]
+        for r in results:
+            assert r.mu == 2 and (3, 4, 3) in r.matching
+        assert {r.isolated_deletions for r in results} == {0, 1}
+
+    def test_random_neighbor_unique(self):
+        g = ColoredGraph(2, 1, [(0, 1, 1)])
+        for seed in range(20):
+            r = run_modified_greedy(g, seed)
+            assert r.matching == [(0, 1, 1)] and r.steps_total == 1
+
+    def test_random_neighbor_uniform_on_star(self):
+        # a leaf drawn first takes the center and a center drawn first takes
+        # a uniform leaf, so each leaf is matched with probability
+        # 1/6 + 1/30 = 1/5; a biased neighbor draw shows on some leaf
+        g = disjoint_stars(1000, 5)
+        rng = random.Random(4242)
+        counts = Counter()
+        for _ in range(50):
+            r = run_modified_greedy(g, rng)
+            assert verify_result(g, r).ok
+            counts.update(matched_leaves(r, 1000))
+        draws = 50000
+        assert sorted(counts) == [1, 2, 3, 4, 5]
+        for k in counts.values():
+            assert abs(k / draws - 0.2) < 0.02
+
+
+class TestDeletion:
+    """Matching an edge deletes both endpoints with their edges and the
+    edge's color class; the modified process also deletes isolated
+    vertices. The engines do this on their own state, so these tests read
+    the deletions off trajectory rows (t, nu, mu_edges, q_remaining)
+    sampled every step."""
+
+    def test_delete_isolated(self):
+        # deleting the isolated vertex 2 removes one vertex, no edge, no color
+        g = ColoredGraph(3, 1, [(0, 1, 1)])
+        trajectories = {tuple(run_modified_greedy(g, seed, sample_stride=1).trajectory)
+                        for seed in range(50)}
+        assert trajectories == {((0, 3, 1, 1), (1, 1, 0, 0)),
+                                ((0, 3, 1, 1), (1, 2, 1, 1), (2, 0, 0, 0))}
+
+    def test_delete_star_center(self):
+        for run in ENGINES:
+            for seed in range(20):
+                r = run(star(5), seed, sample_stride=1)
+                assert r.trajectory == [(0, 6, 5, 5), (1, 4, 0, 4)]
+
+    def test_delete_triangle_vertex(self):
+        # triangle 0-1-2 with a pendant edge (2, 3): matching an edge deletes
+        # exactly the edges at its two endpoints
+        g = ColoredGraph(4, 4, [(0, 1, 1), (1, 2, 2), (0, 2, 3), (2, 3, 4)])
+        after_first = {(0, 1, 1): (1, 2, 1, 3), (1, 2, 2): (1, 2, 0, 3),
+                       (0, 2, 3): (1, 2, 0, 3), (2, 3, 4): (1, 2, 1, 3)}
+        for run in ENGINES:
+            seen = set()
+            for seed in range(100):
+                r = run(g, seed, sample_stride=1)
+                assert r.trajectory[1] == after_first[r.matching[0]]
+                seen.add(r.matching[0])
+            assert seen == set(after_first)
+
+    def test_color_class_whole_graph(self):
+        g = ColoredGraph(6, 2, [(0, 1, 1), (2, 3, 1), (4, 5, 1)])
+        for run in ENGINES:
+            for seed in range(20):
+                r = run(g, seed, sample_stride=1)
+                assert r.trajectory == [(0, 6, 3, 2), (1, 4, 0, 1)]
+
+    def test_color_class_subset(self):
+        # color 1 on two disjoint edges, color 2 on three
+        edges = [(i, i + 5, 1 if i < 2 else 2) for i in range(5)]
+        g = ColoredGraph(10, 2, edges)
+        after_first = {1: (1, 8, 3, 1), 2: (1, 8, 2, 1)}
+        for run in ENGINES:
+            seen = set()
+            for seed in range(40):
+                r = run(g, seed, sample_stride=1)
+                color = r.matching[0][2]
+                assert r.trajectory[1] == after_first[color]
+                assert r.mu == 2
+                seen.add(color)
+            assert seen == {1, 2}
+
+    def test_vertex_deletion_consumes_no_color(self):
+        # matching one triangle edge deletes all three edges, but the two
+        # lost with the third vertex keep their colors
+        for run in ENGINES:
+            for seed in range(20):
+                r = run(triangle(), seed, sample_stride=1)
+                assert r.trajectory == [(0, 3, 3, 3), (1, 1, 0, 2)]
+
+
 class TestEdges:
     def test_read_only_sequence_of_triples(self):
         g = ColoredGraph(4, 2, [(0, 1, 1), (2, 3, 2)])
@@ -161,3 +328,29 @@ class TestDumpLoad:
     def test_load_rejects_bad_count(self):
         with pytest.raises(ValueError):
             load_graph("2 2 1\n0 1 1\n")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_deletion_sequences_preserve_counters(data):
+    n = data.draw(st.integers(2, 25))
+    m = data.draw(st.integers(0, n * (n - 1) // 2))
+    q = data.draw(st.integers(1, 8))
+    g = generate(n, m, q, seed=data.draw(st.integers(0, 10 ** 6)))
+    run = data.draw(st.sampled_from(ENGINES))
+    r = run(g, data.draw(st.integers(0, 10 ** 6)), sample_stride=1)
+    # replay the matching, in step order, on a set of alive edges
+    alive = set(g.edges)
+    alive_after = [len(alive)]
+    for (u, v, color) in r.matching:
+        assert (u, v, color) in alive
+        alive = {e for e in alive if u not in e[:2] and v not in e[:2] and e[2] != color}
+        alive_after.append(len(alive))
+    assert alive_after[-1] == 0
+    # counter identities hold after every step: a match deletes two
+    # vertices and one color, an isolated deletion one vertex and no edge
+    assert [row[0] for row in r.trajectory] == list(range(r.steps_total + 1))
+    for (t, nu, mu_edges, q_rem) in r.trajectory:
+        matched = q - q_rem
+        assert nu == n - t - matched
+        assert mu_edges == alive_after[matched]
