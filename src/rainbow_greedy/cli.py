@@ -128,9 +128,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _sweep_config(**fields) -> ExperimentConfig:
+    """The sweep's config; a value it rejects is an argument error (exit 2),
+    raised before any theory is computed or --out is opened."""
+    try:
+        return ExperimentConfig(**fields)
+    except ValueError as exc:
+        build_parser().error(str(exc))
+
+
 def _cmd_simulate(args) -> int:
     algos = ("greedy", "modified") if args.algo == "both" else (args.algo,)
-    cfg = ExperimentConfig(
+    cfg = _sweep_config(
         c_values=args.c, kappa_values=args.kappa, n_values=args.n,
         algorithms=algos, reps=args.reps, master_seed=args.seed,
         ode_step=args.step, sample_stride=args.stride,
@@ -219,7 +228,7 @@ def _cmd_asymptotics(args) -> int:
 
 
 def _cmd_conjecture(args) -> int:
-    cfg = ExperimentConfig(
+    cfg = _sweep_config(
         c_values=args.c, kappa_values=args.kappa, n_values=args.n,
         algorithms=("greedy", "modified"), reps=args.reps,
         master_seed=args.seed, ode_step=args.step,

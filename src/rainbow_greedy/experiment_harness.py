@@ -86,6 +86,17 @@ class ExperimentConfig:
             raise ValueError(f"n_values must be >= 100, got {self.n_values}")
         if not self.algorithms or any(a not in _ALGORITHMS for a in self.algorithms):
             raise ValueError(f"algorithms must be drawn from {_ALGORITHMS}")
+        if self.sample_stride is not None and self.sample_stride < 1:
+            raise ValueError(f"sample_stride must be >= 1, got {self.sample_stride}")
+        for n in self.n_values:
+            for k in self.kappa_values:
+                if round(k * n) < 1:
+                    raise ValueError(f"kappa={k} gives q = round(kappa n) = 0 "
+                                     f"colors at n={n}")
+            for c in self.c_values:
+                if round(c * n / 2) > n * (n - 1) // 2:
+                    raise ValueError(f"c={c} asks for more edges than the "
+                                     f"{n * (n - 1) // 2} pairs of n={n} vertices")
         if self.output_format not in ("csv", "json"):
             raise ValueError("output_format must be csv or json")
 

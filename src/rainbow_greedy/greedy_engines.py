@@ -1,13 +1,21 @@
-"""The two greedy rainbow-matching heuristics, in random-order form.
+"""The two greedy rainbow-matching heuristics, run as first-fit scans.
 
 run_greedy matches a uniform remaining edge each step. run_modified_greedy
 draws a uniform remaining vertex; an isolated vertex is simply discarded
 (that still counts as a step), otherwise the vertex is matched along a
 uniform remaining incident edge. In both cases matching an edge deletes
 both endpoints and the whole color class of the matched edge, so the
-matching is rainbow by construction. The engines sample these processes
-exactly by scanning random orders (see the README) and never change the
-graph.
+matching is rainbow by construction. The engines never change the graph.
+
+Each engine takes what a first-fit scan of a random edge order takes:
+every edge whose endpoints and color are still free. Greedy scans a
+uniform edge order. Modified greedy shuffles each incidence list once,
+gives the vertices uniform turns, and lists each edge at its endpoint
+with the earlier turn, in turn order, then list order: at a vertex's
+turn its edges to earlier-turn vertices are already dead, and it takes
+the first free edge of the rest. _first_fit runs a scan in rounds of
+O(m) numpy work; uniform orders need few rounds, an adversarial one (a
+path scanned end to end) about m/2. The README has the details.
 
 Trajectories are sampled every `sample_stride` steps as rows
 (t, nu, mu_edges, q_remaining): step count, alive vertices, alive edges,
@@ -67,8 +75,8 @@ def _resolve_stride(n: int, sample_stride: int | None) -> int:
 
 
 def _result(algorithm: str, g: ColoredGraph, run_seed: int | None, stride: int,
-            taken: list[int] | np.ndarray, taken_step: list[int] | np.ndarray,
-            processed: list[int]) -> MatchingResult:
+            taken: np.ndarray, taken_step: np.ndarray,
+            processed: np.ndarray | list[int]) -> MatchingResult:
     """Assemble a result from the matched edge ids, the step that matched
     each, and the vertices processed at steps 1, 2, ... in order.
 
@@ -78,53 +86,58 @@ def _result(algorithm: str, g: ColoredGraph, run_seed: int | None, stride: int,
     only delete isolated vertices and are not part of the process.
     """
     n, q, e = g.n_initial, g.q_total, g.edges.array
-    taken_step = np.asarray(taken_step, dtype=np.int64)
-    vertex_step = np.full(n, n + 1, dtype=np.int64)
+    vertex_step = np.full(n, n + 1)
     vertex_step[processed] = np.arange(1, len(processed) + 1)
-    vertex_step[e[taken, 0]] = taken_step
-    vertex_step[e[taken, 1]] = taken_step
-    color_step = np.full(q + 1, n + 1, dtype=np.int64)
+    vertex_step[e[taken, :2]] = taken_step[:, None]
+    color_step = np.full(q + 1, n + 1)
     color_step[e[taken, 2]] = taken_step
     death = np.minimum(np.minimum(vertex_step[e[:, 0]], vertex_step[e[:, 1]]),
                        color_step[e[:, 2]])
-    t_end = int(death.max()) if len(e) else 0
+    t_end = int(death.max(initial=0))
+    ts = np.append(np.arange(0, t_end, stride), t_end)
 
-    def alive(total: int, steps: np.ndarray) -> np.ndarray:
-        died = np.bincount(steps[steps <= t_end], minlength=t_end + 1)
-        return total - np.cumsum(died)
+    def alive(total: int, steps: np.ndarray) -> list[int]:
+        return (total - np.bincount(steps, minlength=t_end + 1).cumsum()[ts]).tolist()
 
-    ts = np.arange(0, t_end + 1, stride)
-    if ts[-1] != t_end:
-        ts = np.append(ts, t_end)
-    rows = np.stack([ts, alive(n, vertex_step)[ts], alive(len(e), death)[ts],
-                     alive(q, taken_step)[ts]], axis=1)
     return MatchingResult(
         algorithm=algorithm, n=n, m=len(e), q=q, graph_seed=g.seed,
         run_seed=run_seed, sample_stride=stride,
-        matching=list(map(tuple, e[taken].tolist())), mu=len(taken),
+        matching=list(zip(*e[taken].T.tolist())), mu=len(taken),
         steps_total=t_end, isolated_deletions=t_end - len(taken),
-        trajectory=list(map(tuple, rows.tolist())),
+        trajectory=list(zip(ts.tolist(), alive(n, vertex_step),
+                            alive(len(e), death), alive(q, taken_step))),
     )
+
+
+def _first_fit(edges: np.ndarray, n: int, q: int) -> np.ndarray:
+    """Rows, ascending, that a first-fit scan of (u, v, color) rows over n
+    vertices and q colors takes. Each round takes every remaining edge
+    that comes first among the remaining edges at both endpoints and at
+    its color, as the edges before it that it conflicts with are dead,
+    then drops every edge whose endpoint or color a taken edge holds."""
+    u, v, color = edges.T
+    color = color + n
+    rows = np.arange(len(edges))
+    taken = np.zeros(len(edges), dtype=bool)
+    while rows.size:
+        low = np.full(n + q + 1, len(edges))
+        for ends in (u, v, color):
+            np.minimum.at(low, ends, rows)
+        lu, lv, lc = low[u], low[v], low[color]
+        taken[rows[(lu == rows) & (lv == rows) & (lc == rows)]] = True
+        live = ~(taken[lu] | taken[lv] | taken[lc])
+        rows, u, v, color = rows[live], u[live], v[live], color[live]
+    return np.flatnonzero(taken)
 
 
 def run_greedy(g: ColoredGraph, rng: random.Random | int,
                sample_stride: int | None = None) -> MatchingResult:
-    """Match a uniform remaining edge per step until no edges remain.
-
-    Scans a uniform random order of all edges and takes an edge when both
-    endpoints and its color are still free.
-    """
+    """Match a uniform remaining edge per step until no edges remain."""
     gen, run_seed = _resolve_rng(rng)
     stride = _resolve_stride(g.n_initial, sample_stride)
     e = g.edges.array
     order = gen.permutation(len(e))
-    vertex_free = bytearray(b"\x01") * g.n_initial
-    color_free = bytearray(b"\x01") * (g.q_total + 1)
-    taken = []
-    for eid, u, v, c in zip(order.tolist(), *e[order].T.tolist()):
-        if vertex_free[u] and vertex_free[v] and color_free[c]:
-            vertex_free[u] = vertex_free[v] = color_free[c] = 0
-            taken.append(eid)
+    taken = order[_first_fit(e.take(order, axis=0), g.n_initial, g.q_total)]
     return _result("greedy", g, run_seed, stride, taken,
                    np.arange(1, len(taken) + 1), [])
 
@@ -135,39 +148,26 @@ def run_modified_greedy(g: ColoredGraph, rng: random.Random | int,
 
     A vertex with no remaining edge is deleted and counts as a step.
     Otherwise it is matched along a uniform remaining incident edge, and
-    both endpoints and the color class are deleted. Scans a uniform random
-    order of the vertices; each vertex takes the first remaining edge of
-    its incidence list, shuffled once.
+    both endpoints and the color class are deleted.
     """
     gen, run_seed = _resolve_rng(rng)
     stride = _resolve_stride(g.n_initial, sample_stride)
     n, e = g.n_initial, g.edges.array
-    # half-edge h is edge h // 2 seen from endpoint ends[h]; sorting by
-    # endpoint with a uniform permutation as tie-break shuffles every
-    # incidence list
-    ends = e[:, :2].ravel()
-    half = np.argsort(ends * len(ends) + gen.permutation(len(ends)))
-    first = np.concatenate(([0], np.cumsum(np.bincount(ends, minlength=n)))).tolist()
-    other = ends[half ^ 1].tolist()
-    color = e[half // 2, 2].tolist()
-
-    alive = bytearray(b"\x01") * n
-    color_free = bytearray(b"\x01") * (g.q_total + 1)
-    processed, taken, taken_step = [], [], []
-    for v in gen.permutation(n).tolist():
-        if not alive[v]:
-            continue
-        alive[v] = 0
-        processed.append(v)
-        for j in range(first[v], first[v + 1]):
-            w = other[j]
-            if alive[w] and color_free[color[j]]:
-                alive[w] = color_free[color[j]] = 0
-                taken.append(j)
-                taken_step.append(len(processed))
-                break
-    return _result("modified", g, run_seed, stride, half[taken] // 2, taken_step,
-                   processed)
+    # edges by their earlier endpoint's turn, then by tie: the place in its list
+    tie = gen.permutation(2 * len(e)).reshape(-1, 2)
+    vertices = gen.permutation(n)
+    turn = np.empty(n, dtype=np.int64)
+    turn[vertices] = np.arange(n)
+    turns = turn[e[:, :2]]
+    order = np.argsort((turns * tie.size + tie).min(axis=1))
+    taken = order[_first_fit(e.take(order, axis=0), n, g.q_total)]
+    # a matched edge's later endpoint skips its turn; the edge is matched
+    # at the step its earlier endpoint's turn is processed
+    earlier, later = np.sort(turns[taken], axis=1).T
+    processed = np.ones(n, dtype=bool)
+    processed[later] = False
+    return _result("modified", g, run_seed, stride, taken,
+                   processed.cumsum()[earlier], vertices[processed])
 
 
 def verify_result(g0: ColoredGraph, result: MatchingResult) -> VerifyReport:

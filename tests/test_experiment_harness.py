@@ -51,6 +51,22 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_cfg(algorithms=("greedy", "other"))
 
+    @pytest.mark.parametrize("stride", [0, -3])
+    def test_rejects_bad_stride(self, stride):
+        with pytest.raises(ValueError, match="sample_stride"):
+            small_cfg(sample_stride=stride)
+
+    def test_rejects_cell_without_colors(self):
+        # round(0.004 * 100) = 0, while round(0.004 * 500) = 2
+        small_cfg(kappa_values=(0.004,), n_values=(500,))
+        with pytest.raises(ValueError, match="kappa=0.004"):
+            small_cfg(kappa_values=(0.004,), n_values=(500, 100))
+
+    def test_rejects_more_edges_than_pairs(self):
+        small_cfg(c_values=(99.0,), n_values=(100,))
+        with pytest.raises(ValueError, match="c=100"):
+            small_cfg(c_values=(100.0,), n_values=(100,))
+
     def test_cell_order_is_row_major(self):
         cfg = small_cfg(c_values=(1.0, 2.0), algorithms=("greedy",))
         assert cfg.cells() == [(1.0, 0.5, 500, "greedy"), (2.0, 0.5, 500, "greedy")]
@@ -315,6 +331,20 @@ class TestCli:
         assert rc == 0
         out = capsys.readouterr().out
         assert out.startswith("c,kappa,n,mean_greedy")
+
+    @pytest.mark.parametrize("command", ["simulate", "conjecture"])
+    @pytest.mark.parametrize("bad", [["--stride", "0"], ["--stride", "-3"],
+                                     ["--reps", "0"], ["--kappa", "0.001"]])
+    def test_bad_sweep_value_is_an_argument_error(self, tmp_path, capsys,
+                                                  command, bad):
+        out = tmp_path / "kept.csv"
+        out.write_text("earlier output\n")
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--c", "1", "--n", "100", "--reps", "2",
+                  "--step", "1e-4", "--out", str(out), *bad])
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+        assert out.read_text() == "earlier output\n"
 
     def test_module_entry_point(self):
         proc = subprocess.run(

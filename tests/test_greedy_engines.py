@@ -1,11 +1,14 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rainbow_greedy.colored_graph import ColoredGraph, generate
 from rainbow_greedy.greedy_engines import (
     TRAJECTORY_HEADER,
+    MatchingResult,
+    _first_fit,
     run_greedy,
     run_modified_greedy,
     verify_result,
@@ -232,3 +235,158 @@ def test_both_engines_terminate_and_verify(n, m_frac, q, seed, run_seed):
         assert r.steps_total <= n + m
         rep = verify_result(g, r)
         assert rep.ok, rep.failure
+
+
+class Replay:
+    """Step-by-step bookkeeping of alive vertices, edges and colors, kept
+    the way the process defines them, with trajectory rows every `stride`
+    steps and at the end."""
+
+    def __init__(self, g, stride):
+        self.n, self.q, self.stride = g.n_initial, g.q_total, stride
+        self.edges = list(g.edges)
+        self.vertex_alive = [True] * self.n
+        self.color_free = [True] * (self.q + 1)
+        self.edge_alive = [True] * len(self.edges)
+        self.incident = [[] for _ in range(self.n + self.q + 1)]
+        for eid, (u, v, c) in enumerate(self.edges):
+            for x in (u, v, self.n + c):
+                self.incident[x].append(eid)
+        self.t, self.nu, self.mu_edges, self.q_remaining = 0, self.n, len(self.edges), self.q
+        self.matching, self.isolated = [], 0
+        self.rows = [self.row()]
+
+    def row(self):
+        return (self.t, self.nu, self.mu_edges, self.q_remaining)
+
+    def kill(self, resource):
+        for eid in self.incident[resource]:
+            if self.edge_alive[eid]:
+                self.edge_alive[eid] = False
+                self.mu_edges -= 1
+
+    def step(self, vertices, eid=None):
+        self.t += 1
+        for x in vertices:
+            self.vertex_alive[x] = False
+            self.nu -= 1
+            self.kill(x)
+        if eid is None:
+            self.isolated += 1
+        else:
+            color = self.edges[eid][2]
+            self.matching.append(self.edges[eid])
+            self.color_free[color] = False
+            self.q_remaining -= 1
+            self.kill(self.n + color)
+        if self.t % self.stride == 0:
+            self.rows.append(self.row())
+
+    def result(self, algorithm, g, run_seed):
+        if self.rows[-1][0] != self.t:
+            self.rows.append(self.row())
+        return MatchingResult(
+            algorithm=algorithm, n=self.n, m=len(self.edges), q=self.q,
+            graph_seed=g.seed, run_seed=run_seed, sample_stride=self.stride,
+            matching=self.matching, mu=len(self.matching), steps_total=self.t,
+            isolated_deletions=self.isolated, trajectory=self.rows)
+
+
+def reference_setup(g, rng, sample_stride):
+    if isinstance(rng, random.Random):
+        gen, run_seed = np.random.default_rng(rng.getrandbits(128)), None
+    else:
+        gen, run_seed = np.random.default_rng(rng), rng
+    stride = max(1, round(g.n_initial / 1000)) if sample_stride is None else sample_stride
+    return gen, run_seed, Replay(g, stride)
+
+
+def reference_greedy(g, rng, sample_stride=None):
+    """The sequential scan: a uniform edge permutation, taking each edge
+    whose endpoints and color are still free."""
+    gen, run_seed, replay = reference_setup(g, rng, sample_stride)
+    e = g.edges.array
+    order = gen.permutation(len(e))
+    for eid, u, v, c in zip(order.tolist(), *e[order].T.tolist()):
+        if replay.vertex_alive[u] and replay.vertex_alive[v] and replay.color_free[c]:
+            replay.step((u, v), eid)
+    return replay.result("greedy", g, run_seed)
+
+
+def reference_modified(g, rng, sample_stride=None):
+    """The sequential vertex scan: incidence lists shuffled once, then a
+    uniform vertex permutation; a live vertex takes the first live edge of
+    its list or is deleted as isolated, while edges remain."""
+    gen, run_seed, replay = reference_setup(g, rng, sample_stride)
+    n, e = g.n_initial, g.edges.array
+    ends = e[:, :2].ravel()
+    half = np.argsort(ends * len(ends) + gen.permutation(len(ends)))
+    first = np.concatenate(([0], np.cumsum(np.bincount(ends, minlength=n)))).tolist()
+    other = ends[half ^ 1].tolist()
+    color = e[half // 2, 2].tolist()
+    alive, color_free = replay.vertex_alive, replay.color_free
+    for v in gen.permutation(n).tolist():
+        if replay.mu_edges == 0:
+            break
+        if not alive[v]:
+            continue
+        for j in range(first[v], first[v + 1]):
+            w = other[j]
+            if alive[w] and color_free[color[j]]:
+                replay.step((v, w), int(half[j]) // 2)
+                break
+        else:
+            replay.step((v,))
+    return replay.result("modified", g, run_seed)
+
+
+ENGINES = [(run_greedy, reference_greedy), (run_modified_greedy, reference_modified)]
+
+
+def assert_same_as_reference(g, seed, stride=None, as_random=False):
+    def rng():
+        return random.Random(seed) if as_random else seed
+
+    for engine, reference in ENGINES:
+        got = engine(g, rng(), sample_stride=stride)
+        want = reference(g, rng(), sample_stride=stride)
+        assert got == want, (engine.__name__, g.n_initial, g.m_initial, seed, stride)
+        assert all(type(x) is int for row in got.matching + got.trajectory for x in row)
+        assert all(type(x) is int for x in (got.mu, got.steps_total, got.isolated_deletions))
+
+
+class TestSameAsSequentialScan:
+    """The engines take exactly what the sequential scans take, step for
+    step, on the same graph and run seed."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 50, 1000])
+    def test_grid(self, n):
+        for c in (0.5, 1, 3, 5):
+            for kappa in (0.1, 0.5, 2):
+                m = min(round(c * n / 2), n * (n - 1) // 2)
+                q = max(1, round(kappa * n))
+                for seed in range(3):
+                    g = generate(n, m, q, seed=1000 * n + seed)
+                    for stride in (1, None):
+                        assert_same_as_reference(g, 7 * seed + n, stride)
+
+    def test_no_edges(self):
+        assert_same_as_reference(generate(20, 0, 0, seed=1), 4, 1)
+
+    def test_one_color(self):
+        for seed in range(5):
+            assert_same_as_reference(generate(60, 120, 1, seed=seed), seed, 1)
+
+    def test_random_instance_input(self):
+        g = generate(300, 600, 150, seed=2)
+        for stride in (1, None):
+            assert_same_as_reference(g, 9, stride, as_random=True)
+
+    def test_large_instance(self):
+        assert_same_as_reference(generate(100_000, 250_000, 50_000, seed=5), 3)
+
+    def test_path_scanned_end_to_end(self):
+        # the kernel's worst order: each round takes one edge, drops the next
+        n = 41
+        edges = np.array([(i, i + 1, i + 1) for i in range(n - 1)])
+        assert _first_fit(edges, n, n - 1).tolist() == list(range(0, n - 1, 2))
