@@ -25,7 +25,7 @@ from .experiment_harness import (
     asymptotics_report,
     asymptotics_csv,
 )
-from .ode_theory import modified_upper_bound
+from .ode_theory import _validate_step, modified_upper_bound
 
 THEORY_KEYS = ("c", "kappa", "tau0_greedy", "tau0_greedy_numeric",
                "tau0_modified", "mu_greedy", "mu_modified", "upper_bound")
@@ -39,6 +39,15 @@ def _floats(text: str) -> tuple[float, ...]:
 
 def _ints(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(",") if x.strip())
+
+
+def _step(text: str) -> float:
+    try:
+        step = float(text)
+        _validate_step(step)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return step
 
 
 def _cell(v) -> str:
@@ -90,7 +99,8 @@ def _add_sweep_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--step", default=1e-5, type=float, help="RK4 step size")
+    p.add_argument("--step", default=1e-5, type=_step,
+                   help="RK4 step size, in (0, 0.01]")
     p.add_argument("--format", default="csv", choices=("csv", "json"))
     p.add_argument("--out", default=None, help="write output to this path")
     p.add_argument("--check", action="store_true",

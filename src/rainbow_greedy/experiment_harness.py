@@ -13,6 +13,7 @@ reports deltas against both so the two never get conflated.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import time
@@ -28,6 +29,7 @@ from .ode_theory import (
     integrate_modified,
     modified_upper_bound,
     tau0_general,
+    _validate_step,
 )
 from .asymptotics import (
     RegimeError,
@@ -88,6 +90,7 @@ class ExperimentConfig:
             raise ValueError(f"algorithms must be drawn from {_ALGORITHMS}")
         if self.sample_stride is not None and self.sample_stride < 1:
             raise ValueError(f"sample_stride must be >= 1, got {self.sample_stride}")
+        _validate_step(self.ode_step)
         for n in self.n_values:
             for k in self.kappa_values:
                 if round(k * n) < 1:
@@ -143,25 +146,17 @@ class AggregateRow:
                 f"{self.theory_mu_over_n!r},{self.abs_deviation!r}")
 
 
-_theory_cache: dict[tuple[float, float, str, float], float] = {}
-
-
+@functools.lru_cache(maxsize=None)
 def theory_mu_over_n(c: float, kappa: float, algorithm: str,
                      step: float = 1e-5) -> float:
     """Predicted matching density for one cell; nan when the prediction
     does not apply (e.g. color depletion for the modified process)."""
-    key = (c, kappa, algorithm, step)
-    if key in _theory_cache:
-        return _theory_cache[key]
     if algorithm == "greedy":
-        val = tau0_general(TheoryParams(c, kappa))
-    else:
-        try:
-            val = integrate_modified(TheoryParams(c, kappa), step=step).mu_over_n
-        except IntegrationFailure:
-            val = math.nan
-    _theory_cache[key] = val
-    return val
+        return tau0_general(TheoryParams(c, kappa))
+    try:
+        return integrate_modified(TheoryParams(c, kappa), step=step).mu_over_n
+    except IntegrationFailure:
+        return math.nan
 
 
 def run_monte_carlo(cfg: ExperimentConfig

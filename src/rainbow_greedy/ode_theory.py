@@ -68,9 +68,53 @@ HALF_CROSSOVER = 1e-4
 _ROOT_TOL = 1e-10
 
 
+# RK4 steps per numpy block in integrate_greedy. Blocks stop the work and
+# the temporaries at most one block past the zero; 4096 was the fastest of
+# 1024 to 16384 over the theory grid.
+_BLOCK = 4096
+
+
 def _validate_step(step: float) -> None:
     if not 0 < step <= 0.01:
         raise ValueError(f"step must be in (0, 0.01], got {step}")
+
+
+def _grid(start: float, steps: int, step: float) -> np.ndarray:
+    """start and the next `steps` values of a scalar loop's tau += step,
+    bit for bit: cumsum adds in order."""
+    t = np.full(steps + 1, step)
+    t[0] = start
+    return np.cumsum(t)
+
+
+def _rk4(rhs, t, y, h):
+    k1 = rhs(t, y)
+    k2 = rhs(t + h / 2, y + h * k1 / 2)
+    k3 = rhs(t + h / 2, y + h * k2 / 2)
+    k4 = rhs(t + h, y + h * k3)
+    return y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def _last_step_zero(rhs, tau: float, y: float, step: float,
+                    y_next: float) -> tuple[float, float]:
+    """Zero of y on the RK4 step from (tau, y > 0) that lands on
+    y_next <= 0: bisects the step length until |y| < 1e-10 and returns
+    (tau0, y(tau0))."""
+    s_lo, s_hi = 0.0, step
+    tau0, y0 = tau + step, y_next
+    for _ in range(200):
+        s_mid = (s_lo + s_hi) / 2
+        if s_mid <= s_lo or s_mid >= s_hi:
+            break
+        y_mid = _rk4(rhs, tau, y, s_mid)
+        if abs(y_mid) < _ROOT_TOL:
+            return tau + s_mid, y_mid
+        if y_mid > 0:
+            s_lo = s_mid
+        else:
+            s_hi = s_mid
+            tau0, y0 = tau + s_mid, y_mid
+    return tau0, y0
 
 
 # -- edge greedy ------------------------------------------------------------
@@ -94,59 +138,65 @@ def integrate_greedy(params: TheoryParams, step: float = 1e-5) -> OdeTrajectory:
     crosses zero before the domain boundary min(1/2, kappa); that happens
     only in extreme corners (very small kappa) where the zero sits closer
     to the boundary than one step.
+
+    The ODE is linear in M, M' = -1 - a(tau) M, so one RK4 step is an
+    affine map M_{k+1} = A_k M_k + B_k. The steps are taken in blocks of
+    _BLOCK: numpy computes A and B over the block's grid and solves the
+    recurrence with P = cumprod(A), M_{k+1} = P_k (M_0 + sum_{j<=k} B_j/P_j).
     """
     _validate_step(step)
     c, kap = params.c, params.kappa
     guard = min(0.5, kap) - 1e-9
+    h = step
 
     def rhs(t, y):
         return -1.0 - 4.0 * y / (1.0 - 2.0 * t) - y / (kap - t)
 
-    def rk4(t, y, h):
-        k1 = rhs(t, y)
-        k2 = rhs(t + h / 2, y + h * k1 / 2)
-        k3 = rhs(t + h / 2, y + h * k2 / 2)
-        k4 = rhs(t + h, y + h * k3)
-        return y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    def slope(t):
+        return 4.0 / (1.0 - 2.0 * t) + 1.0 / (kap - t)
 
-    taus = [0.0]
-    vals = [c / 2.0]
+    taus, vals = [], []
     tau, m = 0.0, c / 2.0
     while True:
-        if tau + step > guard:
+        t = _grid(tau, _BLOCK, step)
+        t = t[:np.searchsorted(t, guard, side="right")]   # steps that end <= guard
+        a = slope(t)
+        a_mid = slope(t[:-1] + h / 2)
+        # A is the RK4 step of M' = -a M from 1, B that of M' = -1 - a M from 0
+        p1 = -a[:-1]
+        p2 = -a_mid * (1.0 + h / 2 * p1)
+        p3 = -a_mid * (1.0 + h / 2 * p2)
+        p4 = -a[1:] * (1.0 + h * p3)
+        q2 = -1.0 + a_mid * (h / 2)
+        q3 = -1.0 - a_mid * (h / 2 * q2)
+        q4 = -1.0 - a[1:] * (h * q3)
+        A = 1.0 + h / 6 * (p1 + 2 * p2 + 2 * p3 + p4)
+        B = h / 6 * (-1.0 + 2 * q2 + 2 * q3 + q4)
+        P = np.cumprod(A)
+        ms = P * (m + np.cumsum(B / P))
+        hit = np.flatnonzero(ms <= 0.0)
+        if hit.size:
+            k = hit[0]
+            taus.append(t[1:k + 1])
+            vals.append(ms[:k])
+            if k:
+                tau, m = float(t[k]), float(ms[k - 1])
+            nxt = float(ms[k])
+            break
+        if len(t) <= _BLOCK:
             raise IntegrationFailure(
                 f"M did not cross zero before the domain boundary "
                 f"{min(0.5, kap)} (c={c}, kappa={kap}); the root is closer "
                 f"to the boundary than one step")
-        nxt = rk4(tau, m, step)
-        if nxt <= 0.0:
-            break
-        tau += step
-        m = nxt
-        taus.append(tau)
-        vals.append(m)
+        taus.append(t[1:])
+        vals.append(ms)
+        tau, m = float(t[-1]), float(ms[-1])
 
-    s_lo, s_hi = 0.0, step
-    tau0, m0 = tau + step, nxt
-    for _ in range(200):
-        s_mid = (s_lo + s_hi) / 2
-        if s_mid <= s_lo or s_mid >= s_hi:
-            break
-        m_mid = rk4(tau, m, s_mid)
-        if abs(m_mid) < _ROOT_TOL:
-            tau0, m0 = tau + s_mid, m_mid
-            break
-        if m_mid > 0:
-            s_lo = s_mid
-        else:
-            s_hi = s_mid
-            tau0, m0 = tau + s_mid, m_mid
-    taus.append(tau0)
-    vals.append(m0)
-
-    return OdeTrajectory(kind="greedy", taus=np.asarray(taus),
-                         values=np.asarray(vals), tau0=tau0, step=step,
-                         mu_over_n=tau0)
+    tau0, m0 = _last_step_zero(rhs, tau, m, step, nxt)
+    return OdeTrajectory(kind="greedy",
+                         taus=np.concatenate([[0.0], *taus, [tau0]]),
+                         values=np.concatenate([[c / 2.0], *vals, [m0]]),
+                         tau0=tau0, step=step, mu_over_n=tau0)
 
 
 def m_closed_half(tau: float, c: float) -> float:
@@ -175,9 +225,15 @@ def f_kappa(tau: float, c: float, kappa: float) -> float:
                          "m_closed_half")
     if not 0 <= tau < min(0.5, kappa):
         raise ValueError(f"tau={tau} outside [0, min(1/2, kappa))")
+    return _f_kappa(tau, c, kappa, math.log)
+
+
+def _f_kappa(tau, c: float, kappa: float, log):
+    """f_kappa without its checks, for a float tau with log = math.log or
+    an array with log = np.log."""
     e = 2.0 * kappa - 1.0
     return (c * e * e / (2.0 * kappa)
-            + math.log((kappa - tau) / (kappa * (1.0 - 2.0 * tau)))
+            + log((kappa - tau) / (kappa * (1.0 - 2.0 * tau)))
             - 2.0 * e * tau / (1.0 - 2.0 * tau))
 
 
@@ -202,28 +258,22 @@ def tau0_general(params: TheoryParams) -> float:
     T = min(0.5, kap)
 
     def signed(t: float) -> float:
-        if t <= 0.0:
-            t = 0.0
         if kap - t <= 0.0 or 1.0 - 2.0 * t <= 0.0:
             return -math.inf
-        e = 2.0 * kap - 1.0
-        return (c * e * e / (2.0 * kap)
-                + math.log((kap - t) / (kap * (1.0 - 2.0 * t)))
-                - 2.0 * e * t / (1.0 - 2.0 * t))
+        return _f_kappa(t, c, kap, math.log)
 
     if signed(0.0) <= 0.0:
         raise IntegrationFailure(f"no alive edges at tau=0 for params {params}")
 
     grid = 10_000
-    lo, hi = 0.0, None
-    for i in range(1, grid + 1):
-        t = T * i / grid
-        if signed(t) <= 0.0:
-            hi = t
-            break
-        lo = t
-    if hi is None:   # unreachable: signed(T) is -inf
+    t = T * np.arange(1, grid + 1) / grid
+    inside = (kap - t > 0.0) & (1.0 - 2.0 * t > 0.0)
+    f = np.full(grid, -math.inf)
+    f[inside] = _f_kappa(t[inside], c, kap, np.log)
+    i = int(np.argmax(f <= 0.0))
+    if not f[i] <= 0.0:   # unreachable: signed(T) is -inf
         raise IntegrationFailure(f"no sign change located for params {params}")
+    lo, hi = (float(t[i - 1]) if i else 0.0), float(t[i])
 
     for _ in range(200):
         mid = (lo + hi) / 2
@@ -279,52 +329,42 @@ def integrate_modified(params: TheoryParams, step: float = 1e-5) -> OdeTrajector
     def rhs(t, y):
         return math.exp(-ratio * y * (y + t + kap - 1.0)) - 2.0
 
-    def rk4(t, y, h):
-        k1 = rhs(t, y)
-        k2 = rhs(t + h / 2, y + h * k1 / 2)
-        k3 = rhs(t + h / 2, y + h * k2 / 2)
-        k4 = rhs(t + h, y + h * k3)
-        return y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-
-    taus = [0.0]
+    # _rk4 over rhs, inlined with the same rounding: this loop is the hot path
+    exp, neg, half, sixth = math.exp, -ratio, step / 2, step / 6
     vals = [1.0]
+    append = vals.append
     tau, nv = 0.0, 1.0
-    while True:
-        if tau > 1.2:   # N' <= -1 forces a zero by tau = 1
-            raise IntegrationFailure(f"runaway integration for params {params}")
-        nxt = rk4(tau, nv, step)
+    while tau <= 1.2:   # N' <= -1 forces a zero by tau = 1
+        mid, end = tau + half, tau + step
+        k1 = exp(neg * nv * (nv + tau + kap - 1.0)) - 2.0
+        y = nv + half * k1
+        k2 = exp(neg * y * (y + mid + kap - 1.0)) - 2.0
+        y = nv + half * k2
+        k3 = exp(neg * y * (y + mid + kap - 1.0)) - 2.0
+        y = nv + step * k3
+        k4 = exp(neg * y * (y + end + kap - 1.0)) - 2.0
+        nxt = nv + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if nxt <= 0.0:
             break
-        tau += step
-        nv = nxt
-        if nv + tau + kap - 1.0 <= 0.0:
-            raise ColorDepletionError(
-                f"color budget exhausted at tau={tau:.4f} with N={nv:.4f} "
-                f"still positive (c={c}, kappa={kap}); the prediction needs "
-                f"a larger color density")
-        taus.append(tau)
-        vals.append(nv)
+        tau, nv = end, nxt
+        append(nv)
 
-    s_lo, s_hi = 0.0, step
-    tau0, n0 = tau + step, nxt
-    for _ in range(200):
-        s_mid = (s_lo + s_hi) / 2
-        if s_mid <= s_lo or s_mid >= s_hi:
-            break
-        n_mid = rk4(tau, nv, s_mid)
-        if abs(n_mid) < _ROOT_TOL:
-            tau0, n0 = tau + s_mid, n_mid
-            break
-        if n_mid > 0:
-            s_lo = s_mid
-        else:
-            s_hi = s_mid
-            tau0, n0 = tau + s_mid, n_mid
-    taus.append(tau0)
-    vals.append(n0)
-
-    t_arr = np.asarray(taus)
+    # the first point with no colors left ends the trajectory, runaway or not
+    t_arr = _grid(0.0, len(vals) - 1, step)
     n_arr = np.asarray(vals)
+    depleted = np.flatnonzero(n_arr + t_arr + kap - 1.0 <= 0.0)
+    if depleted.size:
+        i = depleted[0]
+        raise ColorDepletionError(
+            f"color budget exhausted at tau={t_arr[i]:.4f} with N={n_arr[i]:.4f} "
+            f"still positive (c={c}, kappa={kap}); the prediction needs "
+            f"a larger color density")
+    if tau > 1.2:
+        raise IntegrationFailure(f"runaway integration for params {params}")
+
+    tau0, n0 = _last_step_zero(rhs, tau, nv, step, nxt)
+    t_arr = np.append(t_arr, tau0)
+    n_arr = np.append(n_arr, n0)
     g = np.exp(-ratio * n_arr * (n_arr + t_arr + kap - 1.0))
     increments = 0.5 * (g[1:] + g[:-1]) * np.diff(t_arr)
     integral = np.concatenate(([0.0], np.cumsum(increments)))

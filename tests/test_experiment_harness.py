@@ -1,10 +1,12 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
 import pytest
 
+import rainbow_greedy
 from rainbow_greedy.cli import main
 from rainbow_greedy.experiment_harness import (
     AGGREGATE_HEADER,
@@ -18,9 +20,15 @@ from rainbow_greedy.experiment_harness import (
     rows_to_csv,
     rows_to_json,
     run_monte_carlo,
+    theory_mu_over_n,
     theory_report,
 )
-from rainbow_greedy.ode_theory import tau0_closed_half
+from rainbow_greedy.ode_theory import (
+    TheoryParams,
+    integrate_modified,
+    tau0_closed_half,
+    tau0_general,
+)
 
 
 def small_cfg(**kw):
@@ -66,6 +74,11 @@ class TestConfig:
         small_cfg(c_values=(99.0,), n_values=(100,))
         with pytest.raises(ValueError, match="c=100"):
             small_cfg(c_values=(100.0,), n_values=(100,))
+
+    @pytest.mark.parametrize("step", [0.0, -1e-5, 0.02, math.nan])
+    def test_rejects_bad_ode_step(self, step):
+        with pytest.raises(ValueError, match="step"):
+            small_cfg(ode_step=step)
 
     def test_cell_order_is_row_major(self):
         cfg = small_cfg(c_values=(1.0, 2.0), algorithms=("greedy",))
@@ -149,6 +162,15 @@ class TestMonteCarlo:
         assert math.isnan(rows[0].theory_mu_over_n)
         payload = json.loads(rows_to_json(rows))
         assert payload[0]["theory_mu_over_n"] is None
+
+    def test_theory_values_computed_once_per_cell(self):
+        theory_mu_over_n.cache_clear()
+        p = TheoryParams(1.0, 0.5)
+        want = integrate_modified(p, step=1e-4).mu_over_n
+        assert theory_mu_over_n(1.0, 0.5, "modified", 1e-4) == want
+        assert theory_mu_over_n(1.0, 0.5, "modified", 1e-4) == want
+        assert theory_mu_over_n(1.0, 0.5, "greedy", 1e-4) == tau0_general(p)
+        assert theory_mu_over_n.cache_info()[:2] == (1, 2)   # hits, misses
 
     def test_small_sweep_tracks_theory(self):
         cfg = small_cfg(n_values=(3000,), reps=6)
@@ -346,10 +368,27 @@ class TestCli:
         assert "error:" in capsys.readouterr().err
         assert out.read_text() == "earlier output\n"
 
+    @pytest.mark.parametrize("command", ["simulate", "theory", "table",
+                                         "asymptotics", "conjecture"])
+    @pytest.mark.parametrize("step", ["0", "-1", "0.02", "nan", "x"])
+    def test_bad_step_is_an_argument_error(self, tmp_path, capsys, command,
+                                           step):
+        out = tmp_path / "kept.csv"
+        out.write_text("earlier output\n")
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--step", step, "--out", str(out)])
+        assert exc.value.code == 2
+        assert "argument --step" in capsys.readouterr().err
+        assert out.read_text() == "earlier output\n"
+
     def test_module_entry_point(self):
+        # the child imports the package this process imported
+        src = os.path.dirname(os.path.dirname(rainbow_greedy.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
             [sys.executable, "-m", "rainbow_greedy", "theory", "--c", "1",
              "--kappa", "0.5", "--step", "1e-3"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert proc.stdout.startswith("c,kappa,tau0_greedy")

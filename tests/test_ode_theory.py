@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rainbow_greedy.ode_theory import (
+    HALF_CROSSOVER,
     ColorDepletionError,
     IntegrationFailure,
+    OdeTrajectory,
     TheoryParams,
     convexity_second_differences,
     f_kappa,
@@ -294,3 +296,201 @@ def test_modified_trajectory_monotone(c, kappa):
     traj = integrate_modified(TheoryParams(c, kappa), step=1e-3)
     assert np.all(np.diff(traj.values) < 0)
     assert 0.5 - 1e-6 <= traj.tau0 <= 1.0 + 1e-6
+
+
+# -- reference loops ------------------------------------------------------------
+#
+# The integrators as plain sequential loops, one RK4 step and one check at a
+# time, and the closed-form root scan as a scalar loop. The package's
+# vectorised and inlined versions must reproduce them.
+
+def _rk4(rhs, t, y, h):
+    k1 = rhs(t, y)
+    k2 = rhs(t + h / 2, y + h * k1 / 2)
+    k3 = rhs(t + h / 2, y + h * k2 / 2)
+    k4 = rhs(t + h, y + h * k3)
+    return y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def _bisect_last_step(rhs, tau, y, step, y_next):
+    s_lo, s_hi = 0.0, step
+    tau0, y0 = tau + step, y_next
+    for _ in range(200):
+        s_mid = (s_lo + s_hi) / 2
+        if s_mid <= s_lo or s_mid >= s_hi:
+            break
+        y_mid = _rk4(rhs, tau, y, s_mid)
+        if abs(y_mid) < 1e-10:
+            return tau + s_mid, y_mid
+        if y_mid > 0:
+            s_lo = s_mid
+        else:
+            s_hi = s_mid
+            tau0, y0 = tau + s_mid, y_mid
+    return tau0, y0
+
+
+def _greedy_loop(params, step):
+    c, kap = params.c, params.kappa
+    guard = min(0.5, kap) - 1e-9
+
+    def rhs(t, y):
+        return -1.0 - 4.0 * y / (1.0 - 2.0 * t) - y / (kap - t)
+
+    taus, vals = [0.0], [c / 2.0]
+    tau, m = 0.0, c / 2.0
+    while True:
+        if tau + step > guard:
+            raise IntegrationFailure(
+                f"M did not cross zero before the domain boundary "
+                f"{min(0.5, kap)} (c={c}, kappa={kap}); the root is closer "
+                f"to the boundary than one step")
+        nxt = _rk4(rhs, tau, m, step)
+        if nxt <= 0.0:
+            break
+        tau += step
+        m = nxt
+        taus.append(tau)
+        vals.append(m)
+    tau0, m0 = _bisect_last_step(rhs, tau, m, step, nxt)
+    return OdeTrajectory(kind="greedy", taus=np.array(taus + [tau0]),
+                         values=np.array(vals + [m0]), tau0=tau0, step=step,
+                         mu_over_n=tau0)
+
+
+def _modified_loop(params, step):
+    c, kap = params.c, params.kappa
+    ratio = c / kap
+
+    def rhs(t, y):
+        return math.exp(-ratio * y * (y + t + kap - 1.0)) - 2.0
+
+    taus, vals = [0.0], [1.0]
+    tau, nv = 0.0, 1.0
+    while True:
+        if tau > 1.2:
+            raise IntegrationFailure(f"runaway integration for params {params}")
+        nxt = _rk4(rhs, tau, nv, step)
+        if nxt <= 0.0:
+            break
+        tau += step
+        nv = nxt
+        if nv + tau + kap - 1.0 <= 0.0:
+            raise ColorDepletionError(
+                f"color budget exhausted at tau={tau:.4f} with N={nv:.4f} "
+                f"still positive (c={c}, kappa={kap}); the prediction needs "
+                f"a larger color density")
+        taus.append(tau)
+        vals.append(nv)
+    tau0, n0 = _bisect_last_step(rhs, tau, nv, step, nxt)
+    t_arr = np.array(taus + [tau0])
+    n_arr = np.array(vals + [n0])
+    g = np.exp(-ratio * n_arr * (n_arr + t_arr + kap - 1.0))
+    integral = np.concatenate(([0.0], np.cumsum(0.5 * (g[1:] + g[:-1])
+                                               * np.diff(t_arr))))
+    resid = float(np.max(np.abs(n_arr - (1.0 - 2.0 * t_arr + integral))))
+    if resid > 10.0 * step:
+        raise IntegrationFailure(
+            f"integral-form residual {resid:.3e} exceeds {10 * step:.1e} "
+            f"for params {params}")
+    if not 0.5 - 1e-6 <= tau0 <= 1.0 + 1e-6:
+        raise IntegrationFailure(f"tau0={tau0} outside [1/2, 1] for {params}")
+    return OdeTrajectory(kind="modified", taus=t_arr, values=n_arr, tau0=tau0,
+                         step=step, mu_over_n=1.0 - tau0)
+
+
+def _tau0_scan(params):
+    c, kap = params.c, params.kappa
+    if abs(2.0 * kap - 1.0) < HALF_CROSSOVER:
+        return tau0_closed_half(c)
+    T = min(0.5, kap)
+
+    def signed(t):
+        if kap - t <= 0.0 or 1.0 - 2.0 * t <= 0.0:
+            return -math.inf
+        return f_kappa(t, c, kap)
+
+    assert signed(0.0) > 0.0
+    lo, hi = 0.0, None
+    for i in range(1, 10_001):
+        t = T * i / 10_000
+        if signed(t) <= 0.0:
+            hi = t
+            break
+        lo = t
+    for _ in range(200):
+        mid = (lo + hi) / 2
+        if mid <= lo or mid >= hi:
+            break
+        if signed(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+GRID_C = (0.5, 1.0, 3.0, 5.0, 8.0)
+GRID_KAPPA = (0.05, 0.1, 0.25, 0.52, 1.0, 2.0, 10.0)
+
+
+def assert_same_as_loop(integrate, loop, params, step):
+    """Same exception and message, or bitwise-equal taus and values, tau0
+    and mu_over_n within 1e-12. Returns the exception class or None."""
+    try:
+        want = loop(params, step)
+    except (IntegrationFailure, OverflowError) as exc:
+        with pytest.raises(type(exc)) as got:
+            integrate(params, step=step)
+        assert type(got.value) is type(exc)
+        assert str(got.value) == str(exc)
+        return type(exc)
+    got = integrate(params, step=step)
+    assert (got.kind, got.step) == (want.kind, want.step)
+    assert np.array_equal(got.taus, want.taus)
+    assert got.values.shape == want.values.shape
+    assert np.max(np.abs(got.values - want.values)) <= 1e-12
+    assert type(got.tau0) is float and type(got.mu_over_n) is float
+    assert got.tau0 == pytest.approx(want.tau0, abs=1e-12)
+    assert got.mu_over_n == pytest.approx(want.mu_over_n, abs=1e-12)
+    return None
+
+
+@pytest.mark.parametrize("step", [1e-3, 1e-4, 1e-5])
+class TestSameAsSequentialLoops:
+    """The integrators give what the sequential RK4 loops give, on a grid
+    that takes in the greedy refusals at small kappa and color depletion."""
+
+    def test_integrate_greedy(self, step):
+        refused = {(c, kappa) for c in GRID_C for kappa in GRID_KAPPA
+                   if assert_same_as_loop(integrate_greedy, _greedy_loop,
+                                          TheoryParams(c, kappa), step)}
+        assert {(3.0, 0.1), (5.0, 0.1), (8.0, 0.1)} <= refused
+        assert not any(kappa >= 0.25 for _, kappa in refused)
+
+    def test_integrate_modified(self, step):
+        raised = {(c, kappa): assert_same_as_loop(
+                      integrate_modified, _modified_loop, TheoryParams(c, kappa), step)
+                  for c in GRID_C for kappa in GRID_KAPPA}
+        depleted = {cell for cell, exc in raised.items() if exc}
+        assert {raised[cell] for cell in depleted} <= {ColorDepletionError}
+        assert all(kappa <= 0.1 for _, kappa in depleted)
+        assert (8.0, 0.05) in depleted or step == 1e-3
+
+
+@pytest.mark.parametrize("c, kappa, step, raised", [
+    (100.0, 0.01, 1e-2, IntegrationFailure),    # runaway: too stiff for the step
+    (8.0, 0.05, 1e-2, ColorDepletionError),
+    (1000.0, 0.001, 1e-3, OverflowError),       # e^-lambda overflows in a stage
+])
+def test_integrate_modified_stiff_corners(c, kappa, step, raised):
+    assert assert_same_as_loop(integrate_modified, _modified_loop,
+                               TheoryParams(c, kappa), step) is raised
+
+
+def test_tau0_general_same_as_scalar_scan():
+    for c in GRID_C:
+        for kappa in GRID_KAPPA + (0.3, 0.499, 0.5 + 4e-5, 0.501, 50.0):
+            got = tau0_general(TheoryParams(c, kappa))
+            assert type(got) is float
+            assert got == pytest.approx(_tau0_scan(TheoryParams(c, kappa)),
+                                        abs=1e-12)
