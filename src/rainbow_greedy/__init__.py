@@ -18,7 +18,6 @@ from .ode_theory import (
     TheoryParams,
     OdeTrajectory,
     IntegrationFailure,
-    ColorDepletionError,
     greedy_rhs,
     integrate_greedy,
     m_closed_half,
@@ -30,9 +29,7 @@ from .ode_theory import (
     m_from_n,
     q_fraction,
     integrate_modified,
-    integrate_modified_full,
     modified_upper_bound,
-    theory_summary,
     trajectory_csv,
 )
 from .asymptotics import (

@@ -17,8 +17,12 @@ Vertex greedy (modified): with lambda = 2M/N the pair (M, N) evolves as
 but on the trajectory M = (c / (2 kappa)) N^2 (N + tau + kappa - 1), which
 collapses everything into the single reduced equation in modified_rhs.
 N hits zero at tau0 in [1/2, 1] and the matching density is 1 - tau0.
-The color budget Q = N + tau + kappa - 1 must stay positive; when colors
-run out first (small kappa) the integrator raises ColorDepletionError.
+The color budget Q = N + tau + kappa - 1 never reaches zero: Q' =
+e^-lambda - 1 >= -lambda = -(c/kappa) N Q, so Q decays at most
+exponentially. When colors are scarce, Q ends up below float resolution
+and the subtraction may round it to about -1e-16, which moves lambda by
+that much and nothing else; such cells end with mu/n = kappa to within
+the root tolerance.
 """
 
 from __future__ import annotations
@@ -31,10 +35,6 @@ import numpy as np
 
 class IntegrationFailure(RuntimeError):
     """The integrator could not produce a trusted trajectory."""
-
-
-class ColorDepletionError(IntegrationFailure):
-    """The color budget hit zero while vertices remained."""
 
 
 @dataclass(frozen=True)
@@ -313,14 +313,11 @@ def integrate_modified(params: TheoryParams, step: float = 1e-5) -> OdeTrajector
     """Fixed-step RK4 for the reduced modified-greedy ODE, N(0) = 1.
 
     Stops at the first zero of N (refined by bisection to |N| < 1e-10) and
-    reports mu_over_n = 1 - tau0. Two self-checks run on every call:
-
-    * ColorDepletionError if the color budget Q = N + tau + kappa - 1
-      reaches zero while vertices remain (low color density regime; the
-      prediction is not valid there).
-    * IntegrationFailure if the trajectory drifts from the equivalent
-      integral form N = 1 - 2 tau + integral of e^-lambda by more than
-      10 * step, or if tau0 leaves [1/2, 1].
+    reports mu_over_n = 1 - tau0. It raises IntegrationFailure if N has
+    no zero by tau = 1.2 (the step is too coarse for the stiffness c/kappa),
+    if the trajectory drifts from the equivalent integral form
+    N = 1 - 2 tau + integral of e^-lambda by more than 10 * step, or if
+    tau0 leaves [1/2, 1].
     """
     _validate_step(step)
     c, kap = params.c, params.kappa
@@ -349,22 +346,13 @@ def integrate_modified(params: TheoryParams, step: float = 1e-5) -> OdeTrajector
         tau, nv = end, nxt
         append(nv)
 
-    # the first point with no colors left ends the trajectory, runaway or not
-    t_arr = _grid(0.0, len(vals) - 1, step)
-    n_arr = np.asarray(vals)
-    depleted = np.flatnonzero(n_arr + t_arr + kap - 1.0 <= 0.0)
-    if depleted.size:
-        i = depleted[0]
-        raise ColorDepletionError(
-            f"color budget exhausted at tau={t_arr[i]:.4f} with N={n_arr[i]:.4f} "
-            f"still positive (c={c}, kappa={kap}); the prediction needs "
-            f"a larger color density")
     if tau > 1.2:
         raise IntegrationFailure(f"runaway integration for params {params}")
 
     tau0, n0 = _last_step_zero(rhs, tau, nv, step, nxt)
-    t_arr = np.append(t_arr, tau0)
-    n_arr = np.append(n_arr, n0)
+    t_arr = np.append(_grid(0.0, len(vals) - 1, step), tau0)
+    vals.append(n0)
+    n_arr = np.asarray(vals)
     g = np.exp(-ratio * n_arr * (n_arr + t_arr + kap - 1.0))
     increments = 0.5 * (g[1:] + g[:-1]) * np.diff(t_arr)
     integral = np.concatenate(([0.0], np.cumsum(increments)))
@@ -378,47 +366,6 @@ def integrate_modified(params: TheoryParams, step: float = 1e-5) -> OdeTrajector
 
     return OdeTrajectory(kind="modified", taus=t_arr, values=n_arr,
                          tau0=tau0, step=step, mu_over_n=1.0 - tau0)
-
-
-def integrate_modified_full(params: TheoryParams, step: float = 1e-5,
-                            n_floor: float | None = None):
-    """RK4 for the coupled (M, N) system, for cross-checking the reduced form.
-
-    Integrates until N <= n_floor (default max(10 * step, 1e-3)); the floor
-    keeps lambda = 2M/N away from 0/0 at the very end. Returns
-    (taus, m_values, n_values) as arrays.
-    """
-    _validate_step(step)
-    c, kap = params.c, params.kappa
-    floor = max(10.0 * step, 1e-3) if n_floor is None else n_floor
-
-    def rhs(t, m, nv):
-        q = nv + t + kap - 1.0
-        if q <= 0.0:
-            raise ColorDepletionError(
-                f"color budget exhausted at tau={t:.4f} (c={c}, kappa={kap})")
-        lam = 2.0 * m / nv
-        e = math.exp(-lam)
-        return lam * (e - 2.0) - m * (1.0 - e) / q, e - 2.0
-
-    taus = [0.0]
-    ms = [c / 2.0]
-    ns = [1.0]
-    tau, m, nv = 0.0, c / 2.0, 1.0
-    while nv > floor:
-        k1m, k1n = rhs(tau, m, nv)
-        k2m, k2n = rhs(tau + step / 2, m + step * k1m / 2, nv + step * k1n / 2)
-        k3m, k3n = rhs(tau + step / 2, m + step * k2m / 2, nv + step * k2n / 2)
-        k4m, k4n = rhs(tau + step, m + step * k3m, nv + step * k3n)
-        m += step / 6 * (k1m + 2 * k2m + 2 * k3m + k4m)
-        nv += step / 6 * (k1n + 2 * k2n + 2 * k3n + k4n)
-        tau += step
-        if nv <= floor:
-            break
-        taus.append(tau)
-        ms.append(m)
-        ns.append(nv)
-    return np.asarray(taus), np.asarray(ms), np.asarray(ns)
 
 
 def modified_upper_bound(c: float) -> float:
@@ -450,30 +397,7 @@ def convexity_second_differences(traj: OdeTrajectory, kappa: float,
     return f[2:] - 2.0 * f[1:-1] + f[:-2]
 
 
-# -- summaries and export -----------------------------------------------------
-
-def theory_summary(params: TheoryParams, step: float = 1e-5) -> dict:
-    """All point predictions for one (c, kappa): stopping times, matching
-    densities for both algorithms, and the modified-greedy ceiling.
-
-    Modified entries are None when the integrator rejects the regime.
-    """
-    tau0_g = tau0_general(params)
-    try:
-        traj = integrate_modified(params, step=step)
-        tau0_m: float | None = traj.tau0
-        mu_m: float | None = traj.mu_over_n
-    except IntegrationFailure:
-        tau0_m = None
-        mu_m = None
-    return {
-        "tau0_greedy": tau0_g,
-        "tau0_modified": tau0_m,
-        "mu_greedy": tau0_g,
-        "mu_modified": mu_m,
-        "upper_bound": modified_upper_bound(params.c),
-    }
-
+# -- export -------------------------------------------------------------------
 
 def trajectory_csv(traj: OdeTrajectory) -> str:
     lines = ["tau,value"]

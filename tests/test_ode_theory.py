@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from rainbow_greedy.ode_theory import (
     HALF_CROSSOVER,
-    ColorDepletionError,
     IntegrationFailure,
     OdeTrajectory,
     TheoryParams,
@@ -15,7 +14,6 @@ from rainbow_greedy.ode_theory import (
     greedy_rhs,
     integrate_greedy,
     integrate_modified,
-    integrate_modified_full,
     m_closed_general,
     m_closed_half,
     m_from_n,
@@ -24,9 +22,10 @@ from rainbow_greedy.ode_theory import (
     q_fraction,
     tau0_closed_half,
     tau0_general,
-    theory_summary,
     trajectory_csv,
 )
+from rainbow_greedy.colored_graph import generate
+from rainbow_greedy.greedy_engines import run_modified_greedy
 
 # First zeros computed two independent ways (bisection on the closed form
 # and the z-space fixed-point iteration in _tau0_fixed_point below) before
@@ -214,6 +213,45 @@ class TestModifiedRhs:
         assert q_fraction(0.3, 0.5, 0.5) == pytest.approx(0.3, abs=1e-15)
 
 
+def _modified_full_system(params, step):
+    """RK4 for the coupled (M, N) system, the oracle for the reduced form.
+
+    Integrates until N <= max(10 * step, 1e-3); the floor keeps
+    lambda = 2M/N away from 0/0 at the very end. Returns
+    (taus, m_values, n_values) as arrays.
+    """
+    c, kap = params.c, params.kappa
+    floor = max(10.0 * step, 1e-3)
+
+    def rhs(t, m, nv):
+        q = nv + t + kap - 1.0
+        if q <= 0.0:
+            raise IntegrationFailure(
+                f"color budget exhausted at tau={t:.4f} (c={c}, kappa={kap})")
+        lam = 2.0 * m / nv
+        e = math.exp(-lam)
+        return lam * (e - 2.0) - m * (1.0 - e) / q, e - 2.0
+
+    taus = [0.0]
+    ms = [c / 2.0]
+    ns = [1.0]
+    tau, m, nv = 0.0, c / 2.0, 1.0
+    while nv > floor:
+        k1m, k1n = rhs(tau, m, nv)
+        k2m, k2n = rhs(tau + step / 2, m + step * k1m / 2, nv + step * k1n / 2)
+        k3m, k3n = rhs(tau + step / 2, m + step * k2m / 2, nv + step * k2n / 2)
+        k4m, k4n = rhs(tau + step, m + step * k3m, nv + step * k3n)
+        m += step / 6 * (k1m + 2 * k2m + 2 * k3m + k4m)
+        nv += step / 6 * (k1n + 2 * k2n + 2 * k3n + k4n)
+        tau += step
+        if nv <= floor:
+            break
+        taus.append(tau)
+        ms.append(m)
+        ns.append(nv)
+    return np.asarray(taus), np.asarray(ms), np.asarray(ns)
+
+
 class TestIntegrateModified:
     def test_basic_shape(self):
         traj = integrate_modified(TheoryParams(1.0, 0.5), step=1e-4)
@@ -232,15 +270,24 @@ class TestIntegrateModified:
             traj = integrate_modified(TheoryParams(c, 0.5), step=1e-4)
             assert traj.mu_over_n <= modified_upper_bound(c)
 
-    def test_color_depletion_raises(self):
-        with pytest.raises(ColorDepletionError):
-            integrate_modified(TheoryParams(8.0, 0.05), step=1e-4)
+    @pytest.mark.parametrize("c, kappa", [(3.0, 0.05), (8.0, 0.05), (20.0, 0.005)])
+    def test_color_starved_cells_predict_kappa(self, c, kappa):
+        # every color gets used: the prediction is kappa up to the root
+        # tolerance at any step, and simulation uses all q colors too
+        for step in (1e-4, 1e-5):
+            traj = integrate_modified(TheoryParams(c, kappa), step=step)
+            assert abs(traj.mu_over_n - kappa) < 1e-9
+        n = 20_000
+        mus = [run_modified_greedy(generate(n, round(c * n / 2), round(kappa * n),
+                                            seed), seed + 1).mu / n
+               for seed in (0, 10, 20)]
+        assert abs(sum(mus) / len(mus) - traj.mu_over_n) < 1e-4
 
     def test_reduced_matches_full_system(self):
         step = 1e-4
         for kappa in (0.5, 1.0):
             reduced = integrate_modified(TheoryParams(1.0, kappa), step=step)
-            taus, ms, ns = integrate_modified_full(TheoryParams(1.0, kappa), step=step)
+            taus, ms, ns = _modified_full_system(TheoryParams(1.0, kappa), step=step)
             k = len(taus)
             assert np.max(np.abs(reduced.values[:k] - ns)) < 10 * step
             implied = np.array([m_from_n(t, nv, TheoryParams(1.0, kappa))
@@ -268,20 +315,6 @@ class TestUpperBound:
 
 
 class TestSummariesAndExport:
-    def test_summary_keys_and_consistency(self):
-        s = theory_summary(TheoryParams(1.0, 0.5), step=1e-4)
-        assert set(s) == {"tau0_greedy", "tau0_modified", "mu_greedy",
-                          "mu_modified", "upper_bound"}
-        assert s["mu_greedy"] == s["tau0_greedy"]
-        assert s["mu_modified"] == pytest.approx(1.0 - s["tau0_modified"], abs=1e-15)
-        assert s["mu_modified"] <= s["upper_bound"]
-
-    def test_summary_flags_unavailable_modified(self):
-        s = theory_summary(TheoryParams(8.0, 0.05), step=1e-4)
-        assert s["tau0_modified"] is None
-        assert s["mu_modified"] is None
-        assert s["tau0_greedy"] > 0
-
     def test_trajectory_csv(self):
         traj = integrate_greedy(TheoryParams(1.0, 0.5), step=1e-3)
         lines = trajectory_csv(traj).strip().split("\n")
@@ -375,11 +408,6 @@ def _modified_loop(params, step):
             break
         tau += step
         nv = nxt
-        if nv + tau + kap - 1.0 <= 0.0:
-            raise ColorDepletionError(
-                f"color budget exhausted at tau={tau:.4f} with N={nv:.4f} "
-                f"still positive (c={c}, kappa={kap}); the prediction needs "
-                f"a larger color density")
         taus.append(tau)
         vals.append(nv)
     tau0, n0 = _bisect_last_step(rhs, tau, nv, step, nxt)
@@ -458,7 +486,8 @@ def assert_same_as_loop(integrate, loop, params, step):
 @pytest.mark.parametrize("step", [1e-3, 1e-4, 1e-5])
 class TestSameAsSequentialLoops:
     """The integrators give what the sequential RK4 loops give, on a grid
-    that takes in the greedy refusals at small kappa and color depletion."""
+    that takes in the greedy refusals and the color-starved modified cells
+    at small kappa."""
 
     def test_integrate_greedy(self, step):
         refused = {(c, kappa) for c in GRID_C for kappa in GRID_KAPPA
@@ -468,18 +497,15 @@ class TestSameAsSequentialLoops:
         assert not any(kappa >= 0.25 for _, kappa in refused)
 
     def test_integrate_modified(self, step):
-        raised = {(c, kappa): assert_same_as_loop(
-                      integrate_modified, _modified_loop, TheoryParams(c, kappa), step)
-                  for c in GRID_C for kappa in GRID_KAPPA}
-        depleted = {cell for cell, exc in raised.items() if exc}
-        assert {raised[cell] for cell in depleted} <= {ColorDepletionError}
-        assert all(kappa <= 0.1 for _, kappa in depleted)
-        assert (8.0, 0.05) in depleted or step == 1e-3
+        raised = [cell for cell in ((c, kappa) for c in GRID_C for kappa in GRID_KAPPA)
+                  if assert_same_as_loop(integrate_modified, _modified_loop,
+                                         TheoryParams(*cell), step)]
+        assert raised == []
 
 
 @pytest.mark.parametrize("c, kappa, step, raised", [
     (100.0, 0.01, 1e-2, IntegrationFailure),    # runaway: too stiff for the step
-    (8.0, 0.05, 1e-2, ColorDepletionError),
+    (8.0, 0.05, 1e-2, None),                    # color-starved, integrates
     (1000.0, 0.001, 1e-3, OverflowError),       # e^-lambda overflows in a stage
 ])
 def test_integrate_modified_stiff_corners(c, kappa, step, raised):
