@@ -99,8 +99,9 @@ def _add_sweep_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--step", default=1e-5, type=_step,
-                   help="RK4 step size, in (0, 0.01]")
+    p.add_argument("--step", default=None, type=_step,
+                   help="RK4 step size, in [1e-6, 0.01] (default: 1e-5 for "
+                        "greedy, min(1e-3, kappa/c) for modified)")
     p.add_argument("--format", default="csv", choices=("csv", "json"))
     p.add_argument("--out", default=None, help="write output to this path")
     p.add_argument("--check", action="store_true",

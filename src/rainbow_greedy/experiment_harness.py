@@ -72,7 +72,7 @@ class ExperimentConfig:
     algorithms: tuple[str, ...] = _ALGORITHMS
     reps: int = 20
     master_seed: int = 20250819
-    ode_step: float = 1e-5
+    ode_step: float | None = None   # None: each integrator's own default
     sample_stride: int | None = None
     output_path: str | None = None
     output_format: str = "csv"
@@ -90,7 +90,8 @@ class ExperimentConfig:
             raise ValueError(f"algorithms must be drawn from {_ALGORITHMS}")
         if self.sample_stride is not None and self.sample_stride < 1:
             raise ValueError(f"sample_stride must be >= 1, got {self.sample_stride}")
-        _validate_step(self.ode_step)
+        if self.ode_step is not None:
+            _validate_step(self.ode_step)
         for n in self.n_values:
             for k in self.kappa_values:
                 if round(k * n) < 1:
@@ -148,9 +149,10 @@ class AggregateRow:
 
 @functools.lru_cache(maxsize=None)
 def theory_mu_over_n(c: float, kappa: float, algorithm: str,
-                     step: float = 1e-5) -> float:
-    """Predicted matching density for one cell; nan when the prediction
-    does not apply (e.g. color depletion for the modified process)."""
+                     step: float | None = None) -> float:
+    """Predicted matching density for one cell; nan when the modified
+    integrator refuses the cell (e.g. an explicit step too coarse for
+    c/kappa)."""
     if algorithm == "greedy":
         return tau0_general(TheoryParams(c, kappa))
     try:
@@ -269,7 +271,7 @@ class TableComparison:
         return "\n".join(lines) + "\n"
 
 
-def reproduce_reference_table(step: float = 1e-5) -> TableComparison:
+def reproduce_reference_table(step: float | None = None) -> TableComparison:
     """Recompute both columns of the kappa = 1/2 reference table.
 
     The greedy column is compared against the closed forms under both
@@ -378,7 +380,8 @@ def check_conjecture(cfg: ExperimentConfig,
 
 # -- theory and asymptotics reports --------------------------------------------
 
-def theory_report(c_values, kappa_values, step: float = 1e-5) -> list[dict]:
+def theory_report(c_values, kappa_values,
+                  step: float | None = None) -> list[dict]:
     """Point predictions per (c, kappa): stopping times from the closed form
     and from direct integration, matching densities, and the modified
     ceiling. Entries are None where a prediction does not apply."""

@@ -75,8 +75,8 @@ _BLOCK = 4096
 
 
 def _validate_step(step: float) -> None:
-    if not 0 < step <= 0.01:
-        raise ValueError(f"step must be in (0, 0.01], got {step}")
+    if not 1e-6 <= step <= 0.01:
+        raise ValueError(f"step must be in [1e-6, 0.01], got {step}")
 
 
 def _grid(start: float, steps: int, step: float) -> np.ndarray:
@@ -130,10 +130,12 @@ def greedy_rhs(tau: float, m: float, c: float, kappa: float) -> float:
     return -1.0 - 4.0 * m / (1.0 - 2.0 * tau) - m / (kappa - tau)
 
 
-def integrate_greedy(params: TheoryParams, step: float = 1e-5) -> OdeTrajectory:
+def integrate_greedy(params: TheoryParams,
+                     step: float | None = None) -> OdeTrajectory:
     """Fixed-step RK4 for the edge-greedy ODE up to the first zero of M.
 
-    The final partial step is bisected until |M| < 1e-10, so tau0 is far
+    The default step is 1e-5: at 1e-3 the trajectory is up to 1.2e-6 off
+    the closed form, and the integration is cheap. The final partial step is bisected until |M| < 1e-10, so tau0 is far
     more accurate than the step size. Raises IntegrationFailure if M never
     crosses zero before the domain boundary min(1/2, kappa); that happens
     only in extreme corners (very small kappa) where the zero sits closer
@@ -144,6 +146,8 @@ def integrate_greedy(params: TheoryParams, step: float = 1e-5) -> OdeTrajectory:
     _BLOCK: numpy computes A and B over the block's grid and solves the
     recurrence with P = cumprod(A), M_{k+1} = P_k (M_0 + sum_{j<=k} B_j/P_j).
     """
+    if step is None:
+        step = 1e-5
     _validate_step(step)
     c, kap = params.c, params.kappa
     guard = min(0.5, kap) - 1e-9
@@ -309,18 +313,29 @@ def q_fraction(tau: float, n_density: float, kappa: float) -> float:
     return n_density + tau + kappa - 1.0
 
 
-def integrate_modified(params: TheoryParams, step: float = 1e-5) -> OdeTrajectory:
+def integrate_modified(params: TheoryParams,
+                       step: float | None = None) -> OdeTrajectory:
     """Fixed-step RK4 for the reduced modified-greedy ODE, N(0) = 1.
 
     Stops at the first zero of N (refined by bisection to |N| < 1e-10) and
-    reports mu_over_n = 1 - tau0. It raises IntegrationFailure if N has
-    no zero by tau = 1.2 (the step is too coarse for the stiffness c/kappa),
-    if the trajectory drifts from the equivalent integral form
-    N = 1 - 2 tau + integral of e^-lambda by more than 10 * step, or if
-    tau0 leaves [1/2, 1].
+    reports mu_over_n = 1 - tau0, so tau0 is no more accurate than about
+    1e-10 at any step.
+
+    The default step is min(1e-3, kappa/c), at least 1e-6; an explicit
+    step is used as given. The kappa/c term is for stability: with
+    Q = N + tau + kappa - 1, |dN'/dN| = e^-lambda (c/kappa)(N + Q) is at
+    most c/kappa + c, and explicit RK4 diverges once the step times that
+    slope exceeds about 2.78.
+
+    Raises IntegrationFailure if N has no zero by tau = 1.2 (the step is
+    too coarse for the stiffness c/kappa), if the trajectory drifts from
+    the equivalent integral form N = 1 - 2 tau + integral of e^-lambda by
+    more than 10 * step, or if tau0 leaves [1/2, 1].
     """
-    _validate_step(step)
     c, kap = params.c, params.kappa
+    if step is None:
+        step = max(1e-6, min(1e-3, kap / c))
+    _validate_step(step)
     ratio = c / kap
 
     def rhs(t, y):

@@ -75,7 +75,7 @@ class TestConfig:
         with pytest.raises(ValueError, match="c=100"):
             small_cfg(c_values=(100.0,), n_values=(100,))
 
-    @pytest.mark.parametrize("step", [0.0, -1e-5, 0.02, math.nan])
+    @pytest.mark.parametrize("step", [0.0, -1e-5, 1e-7, 0.02, math.nan])
     def test_rejects_bad_ode_step(self, step):
         with pytest.raises(ValueError, match="step"):
             small_cfg(ode_step=step)
@@ -371,7 +371,7 @@ class TestCli:
 
     @pytest.mark.parametrize("command", ["simulate", "theory", "table",
                                          "asymptotics", "conjecture"])
-    @pytest.mark.parametrize("step", ["0", "-1", "0.02", "nan", "x"])
+    @pytest.mark.parametrize("step", ["0", "-1", "1e-7", "0.02", "nan", "x"])
     def test_bad_step_is_an_argument_error(self, tmp_path, capsys, command,
                                            step):
         out = tmp_path / "kept.csv"

@@ -25,6 +25,7 @@ from rainbow_greedy.ode_theory import (
     trajectory_csv,
 )
 from rainbow_greedy.colored_graph import generate
+from rainbow_greedy.experiment_harness import theory_mu_over_n
 from rainbow_greedy.greedy_engines import run_modified_greedy
 
 # First zeros computed two independent ways (bisection on the closed form
@@ -126,8 +127,15 @@ class TestIntegrateGreedy:
             integrate_greedy(TheoryParams(6.0, 0.075), step=1e-4)
 
     def test_step_validation(self):
-        with pytest.raises(ValueError):
-            integrate_greedy(TheoryParams(1.0, 0.5), step=0.0)
+        for step in (0.0, 1e-7, 0.02):
+            with pytest.raises(ValueError):
+                integrate_greedy(TheoryParams(1.0, 0.5), step=step)
+
+    def test_default_step(self):
+        p = TheoryParams(1.0, 0.7)
+        got, want = integrate_greedy(p), integrate_greedy(p, step=1e-5)
+        assert got.step == 1e-5
+        assert np.array_equal(got.values, want.values)
 
 
 class TestClosedGeneral:
@@ -294,11 +302,55 @@ class TestIntegrateModified:
                                 for t, nv in zip(taus, ns)])
             assert np.max(np.abs(ms - implied)) < 10 * step
 
+    def test_step_validation(self):
+        for step in (0.0, 1e-7, 0.02):
+            with pytest.raises(ValueError):
+                integrate_modified(TheoryParams(1.0, 0.5), step=step)
+
     def test_convexity_of_color_product(self):
         for kappa in (0.5, 1.0, 2.0):
             traj = integrate_modified(TheoryParams(1.0, kappa), step=1e-4)
             d2 = convexity_second_differences(traj, kappa)
             assert d2.min() >= -1e-6
+
+
+class TestDefaultStep:
+    """integrate_modified's default step, min(1e-3, kappa/c), on a 40 x 40
+    log grid over c in [0.05, 20] x kappa in [0.005, 20]."""
+
+    GRID = [(float(c), float(kappa)) for c in np.geomspace(0.05, 20.0, 40)
+            for kappa in np.geomspace(0.005, 20.0, 40)]
+    # the benchmark's theory grid
+    THEORY_CELLS = [(c, kappa) for c in (0.5, 1.0, 2.0, 3.0, 5.0, 8.0)
+                    for kappa in (0.1, 0.25, 0.52, 0.75, 1.0, 2.0, 5.0, 10.0)]
+
+    def test_grid(self):
+        trajs = {cell: integrate_modified(TheoryParams(*cell)) for cell in self.GRID}
+        for (c, kappa), traj in trajs.items():
+            assert traj.step == max(1e-6, min(1e-3, kappa / c))
+        # a flat 1e-3 fails the residual check on exactly these four
+        stiffest = sorted(trajs, key=lambda cell: cell[0] / cell[1])[-4:]
+        assert all(c / kappa > 2780 for c, kappa in stiffest)
+        for cell in stiffest:
+            with pytest.raises(IntegrationFailure, match="residual"):
+                integrate_modified(TheoryParams(*cell), step=1e-3)
+        for cell in self.THEORY_CELLS + stiffest:
+            default = integrate_modified(TheoryParams(*cell))
+            fine = integrate_modified(TheoryParams(*cell), step=1e-4)
+            assert abs(default.tau0 - fine.tau0) < 1e-9
+
+    def test_harness_uses_the_default(self):
+        for c, kappa in self.THEORY_CELLS[::7] + [(20.0, 0.005)]:
+            p = TheoryParams(c, kappa)
+            assert theory_mu_over_n(c, kappa, "modified") == \
+                integrate_modified(p).mu_over_n
+
+    def test_explicit_step_is_kept(self):
+        assert integrate_modified(TheoryParams(20.0, 0.005), step=1e-5).step == 1e-5
+
+    def test_floor(self):
+        # kappa/c = 5e-7 is below the smallest step allowed
+        assert integrate_modified(TheoryParams(1000.0, 0.0005)).step == 1e-6
 
 
 class TestUpperBound:
