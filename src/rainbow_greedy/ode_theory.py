@@ -135,11 +135,12 @@ def integrate_greedy(params: TheoryParams,
     """Fixed-step RK4 for the edge-greedy ODE up to the first zero of M.
 
     The default step is 1e-5: at 1e-3 the trajectory is up to 1.2e-6 off
-    the closed form, and the integration is cheap. The final partial step is bisected until |M| < 1e-10, so tau0 is far
-    more accurate than the step size. Raises IntegrationFailure if M never
-    crosses zero before the domain boundary min(1/2, kappa); that happens
-    only in extreme corners (very small kappa) where the zero sits closer
-    to the boundary than one step.
+    the closed form, and the integration is cheap. The final partial step
+    is bisected until |M| < 1e-10, so tau0 is far more accurate than the
+    step size. Raises IntegrationFailure if M never crosses zero before the
+    domain boundary min(1/2, kappa); that happens only in extreme corners
+    (very small kappa) where the zero sits closer to the boundary than one
+    step.
 
     The ODE is linear in M, M' = -1 - a(tau) M, so one RK4 step is an
     affine map M_{k+1} = A_k M_k + B_k. The steps are taken in blocks of

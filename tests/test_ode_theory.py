@@ -345,9 +345,6 @@ class TestDefaultStep:
             assert theory_mu_over_n(c, kappa, "modified") == \
                 integrate_modified(p).mu_over_n
 
-    def test_explicit_step_is_kept(self):
-        assert integrate_modified(TheoryParams(20.0, 0.005), step=1e-5).step == 1e-5
-
     def test_floor(self):
         # kappa/c = 5e-7 is below the smallest step allowed
         assert integrate_modified(TheoryParams(1000.0, 0.0005)).step == 1e-6
