@@ -281,7 +281,8 @@ class TestIntegrateModified:
     @pytest.mark.parametrize("c, kappa", [(3.0, 0.05), (8.0, 0.05), (20.0, 0.005)])
     def test_color_starved_cells_predict_kappa(self, c, kappa):
         # every color gets used: the prediction is kappa up to the root
-        # tolerance at any step, and simulation uses all q colors too
+        # tolerance at steps where RK4 is stable, and simulation uses all
+        # q colors too
         for step in (1e-4, 1e-5):
             traj = integrate_modified(TheoryParams(c, kappa), step=step)
             assert abs(traj.mu_over_n - kappa) < 1e-9
