@@ -68,9 +68,9 @@ HALF_CROSSOVER = 1e-4
 _ROOT_TOL = 1e-10
 
 
-# RK4 steps per numpy block in integrate_greedy. Blocks stop the work and
-# the temporaries at most one block past the zero; 4096 was the fastest of
-# 1024 to 16384 over the theory grid.
+# RK4 steps per numpy block in integrate_greedy and _refine_modified. Blocks
+# stop the work and the temporaries at most one block past the zero; 4096
+# was the fastest of 1024 to 16384 over the theory grid for integrate_greedy.
 _BLOCK = 4096
 
 
@@ -222,7 +222,7 @@ def f_kappa(tau: float, c: float, kappa: float) -> float:
 
     m_closed_general(tau) = (kappa - tau)(1 - 2 tau)^2 / (2 kappa - 1)^2
                             * f_kappa(tau),
-    so M and f_kappa vanish together; the root scan works on f_kappa
+    so M and f_kappa vanish together; tau0_general solves f_kappa = 0
     because it stays well-scaled where the prefactor crushes M to zero.
     """
     if abs(2.0 * kappa - 1.0) < HALF_CROSSOVER:
@@ -230,15 +230,9 @@ def f_kappa(tau: float, c: float, kappa: float) -> float:
                          "m_closed_half")
     if not 0 <= tau < min(0.5, kappa):
         raise ValueError(f"tau={tau} outside [0, min(1/2, kappa))")
-    return _f_kappa(tau, c, kappa, math.log)
-
-
-def _f_kappa(tau, c: float, kappa: float, log):
-    """f_kappa without its checks, for a float tau with log = math.log or
-    an array with log = np.log."""
     e = 2.0 * kappa - 1.0
     return (c * e * e / (2.0 * kappa)
-            + log((kappa - tau) / (kappa * (1.0 - 2.0 * tau)))
+            + math.log((kappa - tau) / (kappa * (1.0 - 2.0 * tau)))
             - 2.0 * e * tau / (1.0 - 2.0 * tau))
 
 
@@ -252,43 +246,34 @@ def m_closed_general(tau: float, c: float, kappa: float) -> float:
 def tau0_general(params: TheoryParams) -> float:
     """First positive zero of M via the closed form, to full float precision.
 
-    Scans f_kappa on a 10^4-point grid over [0, min(1/2, kappa)] for the
-    first sign change (the boundary itself counts as negative since M -> 0
-    from above there only in degenerate corners), then bisects. Near
-    kappa = 1/2 this delegates to the exact half-density formula.
+    In the gap variable z = (kappa - tau) / (kappa (1 - 2 tau)), with
+    tau = kappa (1 - z) / (1 - 2 z kappa), f_kappa is
+        g(z) = log z + 2 kappa (1 - z) + c (2 kappa - 1)^2 / (2 kappa),
+    and g(1) = f_kappa(0) > 0. For kappa < 1/2, z falls from 1 to 0 as tau
+    runs to kappa, and g increases on (0, 1]; for kappa > 1/2, z grows
+    without bound as tau runs to 1/2, and g decreases on [1, inf). So g has
+    one zero, which a bisection in z finds down to adjacent floats. When
+    colors are scarce that zero is below float resolution and tau0 rounds
+    to kappa. Near kappa = 1/2 this delegates to the exact half-density
+    formula.
     """
     c, kap = params.c, params.kappa
-    if abs(2.0 * kap - 1.0) < HALF_CROSSOVER:
+    e = 2.0 * kap - 1.0
+    if abs(e) < HALF_CROSSOVER:
         return tau0_closed_half(c)
-    T = min(0.5, kap)
-
-    def signed(t: float) -> float:
-        if kap - t <= 0.0 or 1.0 - 2.0 * t <= 0.0:
-            return -math.inf
-        return _f_kappa(t, c, kap, math.log)
-
-    if signed(0.0) <= 0.0:
-        raise IntegrationFailure(f"no alive edges at tau=0 for params {params}")
-
-    grid = 10_000
-    t = T * np.arange(1, grid + 1) / grid
-    inside = (kap - t > 0.0) & (1.0 - 2.0 * t > 0.0)
-    f = np.full(grid, -math.inf)
-    f[inside] = _f_kappa(t[inside], c, kap, np.log)
-    i = int(np.argmax(f <= 0.0))
-    if not f[i] <= 0.0:   # unreachable: signed(T) is -inf
-        raise IntegrationFailure(f"no sign change located for params {params}")
-    lo, hi = (float(t[i - 1]) if i else 0.0), float(t[i])
-
-    for _ in range(200):
-        mid = (lo + hi) / 2
-        if mid <= lo or mid >= hi:
+    base = c * e * e / (2.0 * kap)
+    # g <= 0 at `past` (tau at or beyond the zero), g > 0 at `before`; for
+    # kappa > 1/2, log z <= z - 1 gives g(past) <= -e
+    past, before = (0.0, 1.0) if e < 0.0 else (2.0 + base / e, 1.0)
+    while True:
+        mid = (past + before) / 2
+        if mid == past or mid == before:
             break
-        if signed(mid) > 0.0:
-            lo = mid
+        if math.log(mid) + 2.0 * kap * (1.0 - mid) + base > 0.0:
+            before = mid
         else:
-            hi = mid
-    return hi
+            past = mid
+    return kap * (1.0 - past) / (1.0 - 2.0 * past * kap)
 
 
 # -- vertex greedy (modified) ------------------------------------------------
@@ -328,14 +313,20 @@ def integrate_modified(params: TheoryParams,
     most c/kappa + c, and explicit RK4 diverges once the step times that
     slope exceeds about 2.78.
 
+    A scalar loop takes the steps at max(step, default). A step below the
+    default is not stepped through one at a time: _refine_modified solves
+    its recurrence from that coarse run by blocked Newton, to within 1e-12
+    of what the scalar loop would give at that step.
+
     Raises IntegrationFailure if N has no zero by tau = 1.2 (the step is
     too coarse for the stiffness c/kappa), if the trajectory drifts from
     the equivalent integral form N = 1 - 2 tau + integral of e^-lambda by
     more than 10 * step, or if tau0 leaves [1/2, 1].
     """
     c, kap = params.c, params.kappa
+    default = max(1e-6, min(1e-3, kap / c))
     if step is None:
-        step = max(1e-6, min(1e-3, kap / c))
+        step = default
     _validate_step(step)
     ratio = c / kap
 
@@ -343,18 +334,19 @@ def integrate_modified(params: TheoryParams,
         return math.exp(-ratio * y * (y + t + kap - 1.0)) - 2.0
 
     # _rk4 over rhs, inlined with the same rounding: this loop is the hot path
-    exp, neg, half, sixth = math.exp, -ratio, step / 2, step / 6
+    coarse = max(step, default)
+    exp, neg, half, sixth = math.exp, -ratio, coarse / 2, coarse / 6
     vals = [1.0]
     append = vals.append
     tau, nv = 0.0, 1.0
     while tau <= 1.2:   # N' <= -1 forces a zero by tau = 1
-        mid, end = tau + half, tau + step
+        mid, end = tau + half, tau + coarse
         k1 = exp(neg * nv * (nv + tau + kap - 1.0)) - 2.0
         y = nv + half * k1
         k2 = exp(neg * y * (y + mid + kap - 1.0)) - 2.0
         y = nv + half * k2
         k3 = exp(neg * y * (y + mid + kap - 1.0)) - 2.0
-        y = nv + step * k3
+        y = nv + coarse * k3
         k4 = exp(neg * y * (y + end + kap - 1.0)) - 2.0
         nxt = nv + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if nxt <= 0.0:
@@ -365,10 +357,12 @@ def integrate_modified(params: TheoryParams,
     if tau > 1.2:
         raise IntegrationFailure(f"runaway integration for params {params}")
 
+    if step < coarse:
+        vals, tau, nv, nxt = _refine_modified(
+            params, step, coarse, vals, *_last_step_zero(rhs, tau, nv, coarse, nxt))
     tau0, n0 = _last_step_zero(rhs, tau, nv, step, nxt)
     t_arr = np.append(_grid(0.0, len(vals) - 1, step), tau0)
-    vals.append(n0)
-    n_arr = np.asarray(vals)
+    n_arr = np.append(vals, n0)
     g = np.exp(-ratio * n_arr * (n_arr + t_arr + kap - 1.0))
     increments = 0.5 * (g[1:] + g[:-1]) * np.diff(t_arr)
     integral = np.concatenate(([0.0], np.cumsum(increments)))
@@ -382,6 +376,128 @@ def integrate_modified(params: TheoryParams,
 
     return OdeTrajectory(kind="modified", taus=t_arr, values=n_arr,
                          tau0=tau0, step=step, mu_over_n=1.0 - tau0)
+
+
+# Newton updates allowed per block in _refine_modified, the residual at
+# which a block has converged, and how many steps the blocks run past the
+# coarse zero (past the zero N < 0, where Newton may not converge).
+_NEWTON_ITERS = 8
+_NEWTON_TOL = 2.0 ** -52
+_PAST = 4
+
+
+def _modified_step(t, x, step: float, neg: float, kap: float,
+                   jac: bool = False):
+    """The scalar loop's RK4 step Phi(t_k, x_k) for each k, with its
+    arithmetic in the same order; with jac, also the exact derivative
+    dPhi/dN by the chain rule through the four stages."""
+    half = step / 2
+    mid = t + half
+    # each stage is e^(neg y w) - 2 with w = y + s + kap - 1, so its
+    # derivative in y is e^(neg y w) neg (y + w)
+    w = x + t + kap - 1.0
+    e1 = np.exp(neg * x * w)
+    k1 = e1 - 2.0
+    y2 = x + half * k1
+    w2 = y2 + mid + kap - 1.0
+    e2 = np.exp(neg * y2 * w2)
+    k2 = e2 - 2.0
+    y3 = x + half * k2
+    w3 = y3 + mid + kap - 1.0
+    e3 = np.exp(neg * y3 * w3)
+    k3 = e3 - 2.0
+    y4 = x + step * k3
+    w4 = y4 + (t + step) + kap - 1.0
+    e4 = np.exp(neg * y4 * w4)
+    phi = x + step / 6 * (k1 + 2.0 * k2 + 2.0 * k3 + (e4 - 2.0))
+    if not jac:
+        return phi
+    d1 = e1 * neg * (x + w)
+    d2 = e2 * neg * (y2 + w2) * (1.0 + half * d1)
+    d3 = e3 * neg * (y3 + w3) * (1.0 + half * d2)
+    d4 = e4 * neg * (y4 + w4) * (1.0 + step * d3)
+    return phi, 1.0 + step / 6 * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
+
+
+def _affine_scan(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """d with d_0 = b_0 and d_k = a_k d_(k-1) + b_k, by recursive doubling
+    (Hillis-Steele): after the pass at offset s, (a_k, b_k) is the
+    composition of the maps k-2s+1 .. k. Overwrites a and b. No division
+    by a product of the a's, which underflows when the a's are small."""
+    s = 1
+    while s < len(b):
+        b[s:] += a[s:] * b[:-s]
+        a[s:] *= a[:-s]
+        s *= 2
+    return b
+
+
+def _refine_modified(params: TheoryParams, step: float, coarse: float,
+                     coarse_vals: list, tau0: float, n0: float):
+    """The scalar loop's run at `step` from its run at `coarse` > step.
+
+    The guess is the cubic Hermite interpolant of the coarse run, with the
+    ODE's slopes at its nodes and its bisected zero (tau0, n0) as the last
+    node; past that node it goes on along the last slope. Blocks of _BLOCK
+    fine steps, each from the converged end of the one before, are then
+    corrected to the recurrence x_(k+1) = Phi(tau_k, x_k) by Newton on the
+    whole block: the update d solves d_(k+1) = J_k d_k + Phi(tau_k, x_k) -
+    x_(k+1), J_k = dPhi/dN, by _affine_scan. A block has converged when
+    every |Phi(tau_k, x_k) - x_(k+1)| <= _NEWTON_TOL. The blocks stop
+    _PAST steps past the coarse zero, and go on _PAST steps at a time if
+    the fine zero lies further.
+
+    Returns what the scalar loop ends with: the values before the zero,
+    the last tau and value, and the first value <= 0.
+    """
+    c, kap = params.c, params.kappa
+    neg = -c / kap
+    nodes = np.append(_grid(0.0, len(coarse_vals) - 1, coarse), tau0)
+    ys = np.append(coarse_vals, n0)
+    slopes = np.exp(neg * ys * (ys + nodes + kap - 1.0)) - 2.0
+    # the cubic on each interval as ys + u (slopes + u (a2 + u a3)), u = t - node
+    h = np.diff(nodes)
+    dy = np.diff(ys) / h
+    a2 = (3.0 * dy - 2.0 * slopes[:-1] - slopes[1:]) / h
+    a3 = (slopes[:-1] + slopes[1:] - 2.0 * dy) / (h * h)
+
+    def guess(t):
+        i = np.minimum((t / coarse).astype(np.intp), len(h) - 1)
+        u = np.minimum(t - nodes[i], h[i])
+        return (ys[i] + u * (slopes[i] + u * (a2[i] + u * a3[i]))
+                + np.maximum(t - tau0, 0.0) * slopes[-1])
+
+    chunks = [np.array([1.0])]
+    remaining = int(tau0 / step) + _PAST
+    tau, nv = 0.0, 1.0
+    while True:
+        m = min(_BLOCK, remaining) if remaining > 0 else _PAST
+        remaining -= m
+        t = _grid(tau, m, step)
+        x = guess(t)
+        x[0] = nv
+        ts, xs = t[:-1], x[:-1]   # views: updates to x show in xs
+        phi, jac = _modified_step(ts, xs, step, neg, kap, jac=True)
+        for _ in range(_NEWTON_ITERS):
+            x[1:] += _affine_scan(jac, phi - x[1:])
+            # one update usually converges; only then is J not needed
+            if np.max(np.abs(_modified_step(ts, xs, step, neg, kap) - x[1:])) \
+                    <= _NEWTON_TOL:
+                break
+            phi, jac = _modified_step(ts, xs, step, neg, kap, jac=True)
+        else:
+            raise IntegrationFailure(
+                f"Newton refinement at step {step} did not converge in "
+                f"{_NEWTON_ITERS} updates for params {params}")
+        hit = np.flatnonzero(x[1:] <= 0.0)
+        if hit.size:
+            k = hit[0]
+            chunks.append(x[1:k + 1])
+            return np.concatenate(chunks), float(t[k]), float(x[k]), float(x[k + 1])
+        chunks.append(x[1:])
+        tau, nv = float(t[-1]), float(x[-1])
+        if tau > 1.2:
+            raise IntegrationFailure(f"runaway integration for params {params}")
 
 
 def modified_upper_bound(c: float) -> float:

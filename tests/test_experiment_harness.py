@@ -335,6 +335,17 @@ class TestCli:
         assert rc == 0
         assert capsys.readouterr().out.startswith("c,kappa,tau0_greedy")
 
+    def test_color_starved_greedy_cell(self, capsys):
+        # tau0 is kappa to float resolution here; a scan over [0, kappa]
+        # once found no sign change and the commands ended in a traceback
+        cell = ["--c", "2.7144176165949068", "--kappa", "0.02986831190748335"]
+        assert main(["theory", *cell]) == 0
+        assert main(["simulate", "--algo", "greedy", *cell, "--n", "2000",
+                     "--reps", "2", "--check"]) == 0
+        rows = capsys.readouterr().out.strip().split("\n")
+        assert rows[1].split(",")[2] == "0.02986831190748335"   # tau0_greedy
+        assert rows[-1].split(",")[7] == "0.02986831190748335"  # theory_mu_over_n
+
     def test_table_check_flags_known_outlier(self, capsys):
         rc = main(["table", "--step", "1e-4", "--check"])
         captured = capsys.readouterr()

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rainbow_greedy import ode_theory
 from rainbow_greedy.ode_theory import (
     HALF_CROSSOVER,
     IntegrationFailure,
@@ -24,9 +26,10 @@ from rainbow_greedy.ode_theory import (
     tau0_general,
     trajectory_csv,
 )
+from rainbow_greedy.asymptotics import predict_greedy_tau0
 from rainbow_greedy.colored_graph import generate
 from rainbow_greedy.experiment_harness import theory_mu_over_n
-from rainbow_greedy.greedy_engines import run_modified_greedy
+from rainbow_greedy.greedy_engines import run_greedy, run_modified_greedy
 
 # First zeros computed two independent ways (bisection on the closed form
 # and the z-space fixed-point iteration in _tau0_fixed_point below) before
@@ -37,6 +40,30 @@ TAU0_FROZEN = {
     (3.0, 10.0): 0.3724457434888862,
     (6.0, 0.075): 0.07499999999998458,
 }
+
+
+# First zeros of f_kappa next to the half-density crossover, computed once
+# with mpmath at 60 digits and frozen here. The scalar scan in _tau0_scan is
+# up to 4.5e-12 off them (at c = 0.5, kappa = 0.501).
+TAU0_NEAR_HALF = {
+    (0.5, 0.499): 0.14640783010236255,
+    (1.0, 0.499): 0.21124798222079733,
+    (3.0, 0.499): 0.3108640653944695,
+    (5.0, 0.499): 0.3490567029821069,
+    (8.0, 0.499): 0.3785171159170739,
+    (0.5, 0.501): 0.1464852413966537,
+    (1.0, 0.501): 0.21140144922169354,
+    (3.0, 0.501): 0.3111707673729272,
+    (5.0, 0.501): 0.3494309972342988,
+    (8.0, 0.501): 0.3789460057988915,
+}
+
+# The cells of the 40 x 60 log grid over c in [0.05, 20] x kappa in
+# [0.005, 0.49] where the zero lies closer to kappa than float resolution
+# and the last point of a 10^4-point scan over [0, kappa] rounds below kappa,
+# so the scan finds no sign change.
+STARVED_KAPPA = 0.02986831190748335
+STARVED = [(float(c), STARVED_KAPPA) for c in np.geomspace(0.05, 20.0, 40)[-14:]]
 
 
 def _tau0_fixed_point(c, kappa):
@@ -200,6 +227,24 @@ class TestTau0General:
         # the zero is within float spacing of kappa itself here
         assert tau0_general(TheoryParams(8.0, 0.05625)) == 0.05625
 
+    def test_near_half_against_frozen_roots(self):
+        for (c, kappa), want in TAU0_NEAR_HALF.items():
+            assert tau0_general(TheoryParams(c, kappa)) == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("c, kappa", STARVED)
+    def test_color_starved_cells(self, c, kappa):
+        # every color gets used: the root is kappa to float resolution
+        assert tau0_general(TheoryParams(c, kappa)) == kappa
+        assert predict_greedy_tau0(TheoryParams(c, kappa)).mu_over_n == kappa
+
+    def test_color_starved_cell_matches_simulation(self):
+        c, kappa = STARVED[0]
+        n = 20_000
+        mus = [run_greedy(generate(n, round(c * n / 2), round(kappa * n), seed),
+                          seed + 1).mu / n
+               for seed in (0, 10, 20)]
+        assert abs(sum(mus) / len(mus) - tau0_general(TheoryParams(c, kappa))) < 1e-4
+
 
 class TestModifiedRhs:
     def test_initial_value(self):
@@ -335,8 +380,10 @@ class TestDefaultStep:
         for cell in stiffest:
             with pytest.raises(IntegrationFailure, match="residual"):
                 integrate_modified(TheoryParams(*cell), step=1e-3)
-        for cell in self.THEORY_CELLS + stiffest:
-            default = integrate_modified(TheoryParams(*cell))
+        # an explicit step below the default takes the Newton refinement
+        for cell in self.THEORY_CELLS:
+            trajs[cell] = integrate_modified(TheoryParams(*cell))
+        for cell, default in trajs.items():
             fine = integrate_modified(TheoryParams(*cell), step=1e-4)
             assert abs(default.tau0 - fine.tau0) < 1e-9
 
@@ -565,8 +612,58 @@ def test_integrate_modified_stiff_corners(c, kappa, step, raised):
 
 def test_tau0_general_same_as_scalar_scan():
     for c in GRID_C:
-        for kappa in GRID_KAPPA + (0.3, 0.499, 0.5 + 4e-5, 0.501, 50.0):
+        # next to the crossover both lose digits; see TAU0_NEAR_HALF
+        for kappa in GRID_KAPPA + (0.3, 0.5 + 4e-5, 50.0):
             got = tau0_general(TheoryParams(c, kappa))
             assert type(got) is float
             assert got == pytest.approx(_tau0_scan(TheoryParams(c, kappa)),
                                         abs=1e-12)
+
+
+@pytest.mark.parametrize("step", [None, 1e-3])
+def test_integrate_modified_at_default_step_or_above_is_the_loop(step):
+    # no refinement: the scalar loop at the step itself, bit for bit
+    for c in GRID_C:
+        for kappa in GRID_KAPPA:
+            p = TheoryParams(c, kappa)
+            got = integrate_modified(p, step=step)
+            want = _modified_loop(p, got.step)
+            assert got.step == (max(1e-6, min(1e-3, kappa / c)) if step is None else step)
+            assert np.array_equal(got.taus, want.taus)
+            assert np.array_equal(got.values, want.values)
+            assert got.tau0 == want.tau0
+
+
+def test_refinement_that_does_not_converge_raises(monkeypatch):
+    p = TheoryParams(1.0, 0.5)
+    monkeypatch.setattr(ode_theory, "_NEWTON_ITERS", 0)
+    with pytest.raises(IntegrationFailure, match="Newton refinement"):
+        integrate_modified(p, step=1e-4)
+    integrate_modified(p)   # the default step runs no refinement
+
+
+def test_affine_scan_matches_the_recurrence():
+    rng = np.random.default_rng(3)
+    a, b = rng.uniform(0.0, 1.2, 1000), rng.normal(size=1000)
+    want, d = [], 0.0
+    for ak, bk in zip(a, b):
+        d = ak * d + bk
+        want.append(d)
+    got = ode_theory._affine_scan(a.copy(), b.copy())
+    assert np.max(np.abs(got - want)) < 1e-13
+
+
+def test_refinement_peak_memory_below_the_loop():
+    # blocks bound the refinement's temporaries, so a step of 1e-5 peaks
+    # below the sequential loop, whose Python lists cost 32 B a step each
+    # (a Newton over the whole trajectory at once peaks well above it)
+    p = TheoryParams(1.0, 0.5)
+    peaks = []
+    for integrate in (integrate_modified, _modified_loop):
+        tracemalloc.start()
+        try:
+            integrate(p, 1e-5)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < peaks[1]
