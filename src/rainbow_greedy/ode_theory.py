@@ -262,9 +262,14 @@ def tau0_general(params: TheoryParams) -> float:
     if abs(e) < HALF_CROSSOVER:
         return tau0_closed_half(c)
     base = c * e * e / (2.0 * kap)
-    # g <= 0 at `past` (tau at or beyond the zero), g > 0 at `before`; for
-    # kappa > 1/2, log z <= z - 1 gives g(past) <= -e
-    past, before = (0.0, 1.0) if e < 0.0 else (2.0 + base / e, 1.0)
+    # g <= 0 at `past` (tau at or beyond the zero) and g > 0 at `before`:
+    # for kappa < 1/2, 0 < 2 kappa (1 - z) < 2 kappa on (0, 1), which keeps
+    # a bracket of width e^(2 kappa + 1) however small the zero is; for
+    # kappa > 1/2, log z <= z - 1 gives g <= -e at 2 + base / e
+    if e < 0.0:
+        past, before = math.exp(-base - 2.0 * kap - 1.0), math.exp(-base)
+    else:
+        past, before = 2.0 + base / e, 1.0
     while True:
         mid = (past + before) / 2
         if mid == past or mid == before:
@@ -315,8 +320,9 @@ def integrate_modified(params: TheoryParams,
 
     A scalar loop takes the steps at max(step, default). A step below the
     default is not stepped through one at a time: _refine_modified solves
-    its recurrence from that coarse run by blocked Newton, to within 1e-12
-    of what the scalar loop would give at that step.
+    its recurrence from that coarse run by blocked Newton. Its values are
+    within 1e-12 of the scalar loop's at that step on the test grid, and
+    the taus are the same.
 
     Raises IntegrationFailure if N has no zero by tau = 1.2 (the step is
     too coarse for the stiffness c/kappa), if the trajectory drifts from
