@@ -262,10 +262,11 @@ def tau0_general(params: TheoryParams) -> float:
     if abs(e) < HALF_CROSSOVER:
         return tau0_closed_half(c)
     base = c * e * e / (2.0 * kap)
-    # g <= 0 at `past` (tau at or beyond the zero) and g > 0 at `before`:
-    # for kappa < 1/2, 0 < 2 kappa (1 - z) < 2 kappa on (0, 1), which keeps
-    # a bracket of width e^(2 kappa + 1) however small the zero is; for
-    # kappa > 1/2, log z <= z - 1 gives g <= -e at 2 + base / e
+    # g <= 0 at `past` (tau at or beyond the zero) and g > 0 at `before`.
+    # For kappa < 1/2, 0 < 2 kappa (1 - z) < 2 kappa on (0, 1) puts the zero
+    # in [e^(-base - 2 kappa), e^(-base)]; the extra factor e^-1 keeps
+    # g(past) < 0 through rounding. For kappa > 1/2, log z <= z - 1 gives
+    # g <= -e at 2 + base / e.
     if e < 0.0:
         past, before = math.exp(-base - 2.0 * kap - 1.0), math.exp(-base)
     else:

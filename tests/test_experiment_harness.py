@@ -336,8 +336,8 @@ class TestCli:
         assert capsys.readouterr().out.startswith("c,kappa,tau0_greedy")
 
     def test_color_starved_greedy_cell(self, capsys):
-        # tau0 is kappa to float resolution here; a scan over [0, kappa]
-        # once found no sign change and the commands ended in a traceback
+        # color-starved: the root's gap below kappa is under float spacing,
+        # so tau0 is kappa itself
         cell = ["--c", "2.7144176165949068", "--kappa", "0.02986831190748335"]
         assert main(["theory", *cell]) == 0
         assert main(["simulate", "--algo", "greedy", *cell, "--n", "2000",

@@ -612,7 +612,7 @@ def test_integrate_modified_stiff_corners(c, kappa, step, raised):
 
 def test_tau0_general_same_as_scalar_scan():
     for c in GRID_C:
-        # next to the crossover both lose digits; see TAU0_NEAR_HALF
+        # next to the crossover the scan loses digits; see TAU0_NEAR_HALF
         for kappa in GRID_KAPPA + (0.3, 0.5 + 4e-5, 50.0):
             got = tau0_general(TheoryParams(c, kappa))
             assert type(got) is float
