@@ -18,19 +18,14 @@ from .ode_theory import (
     TheoryParams,
     OdeTrajectory,
     IntegrationFailure,
-    greedy_rhs,
     integrate_greedy,
     m_closed_half,
     tau0_closed_half,
     f_kappa,
     m_closed_general,
     tau0_general,
-    modified_rhs,
-    m_from_n,
-    q_fraction,
     integrate_modified,
     modified_upper_bound,
-    trajectory_csv,
 )
 from .asymptotics import (
     Bracket,
@@ -50,8 +45,8 @@ from .experiment_harness import (
     AggregateRow,
     RunRecord,
     run_monte_carlo,
-    rows_to_csv,
-    rows_to_json,
+    to_csv,
+    to_json,
     reproduce_reference_table,
     check_conjecture,
     theory_report,

@@ -3,8 +3,12 @@
 Five subcommands: simulate (Monte Carlo sweep), theory (ODE point
 predictions), table (reference-table reproduction), asymptotics (regime
 brackets vs the exact root), conjecture (greedy vs modified comparison).
-Data goes to stdout or --out; human-readable notes go to stderr. With
---check each subcommand validates its own output and exits 1 on failure.
+Each writes one table, as CSV or JSON (--format), through
+experiment_harness.to_csv / to_json, to stdout or --out; human-readable
+notes go to stderr. simulate, theory and table take --step; asymptotics
+and conjecture report no ODE value and reject it. Exit codes: 0 success,
+1 a --check (the command validating its own output) failed, 2 an
+argument error, raised before --out is opened.
 """
 
 from __future__ import annotations
@@ -12,29 +16,32 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import asdict
 
 from .experiment_harness import (
+    AGGREGATE_COLUMNS,
+    ASYMPTOTICS_COLUMNS,
+    CONJECTURE_COLUMNS,
+    TABLE_COLUMNS,
+    THEORY_COLUMNS,
     ExperimentConfig,
     run_monte_carlo,
-    rows_to_csv,
-    rows_to_json,
     greedy_convention_statement,
     reproduce_reference_table,
     check_conjecture,
     theory_report,
     asymptotics_report,
-    asymptotics_csv,
+    to_csv,
+    to_json,
 )
 from .ode_theory import _validate_step, modified_upper_bound
 
-THEORY_KEYS = ("c", "kappa", "tau0_greedy", "tau0_greedy_numeric",
-               "tau0_modified", "mu_greedy", "mu_modified", "upper_bound")
-CONJECTURE_KEYS = ("c", "kappa", "n", "mean_greedy", "mean_modified",
-                   "diff", "margin", "status")
-
 
 def _floats(text: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in text.split(",") if x.strip())
+    values = tuple(float(x) for x in text.split(",") if x.strip())
+    if not all(map(math.isfinite, values)):
+        raise argparse.ArgumentTypeError(f"values must be finite, got {text}")
+    return values
 
 
 def _ints(text: str) -> tuple[int, ...]:
@@ -50,28 +57,11 @@ def _step(text: str) -> float:
     return step
 
 
-def _cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
-def _dicts_to_csv(rows: list[dict], keys) -> str:
-    lines = [",".join(keys)]
-    lines.extend(",".join(_cell(r.get(k)) for k in keys) for r in rows)
-    return "\n".join(lines) + "\n"
-
-
-def _dicts_to_json(rows: list[dict]) -> str:
-    import json
-    return json.dumps(rows, indent=2) + "\n"
-
-
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w") as fh:
+def _emit(rows: list[dict], columns, args) -> None:
+    """Write the rows as --format to --out, or to stdout."""
+    text = to_csv(rows, columns) if args.format == "csv" else to_json(rows)
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -98,10 +88,13 @@ def _add_sweep_flags(p: argparse.ArgumentParser) -> None:
                    help="trajectory sample stride (default n/1000)")
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
+def _add_step_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--step", default=None, type=_step,
                    help="RK4 step size, in [1e-6, 0.01] (default: 1e-5 for "
                         "greedy, min(1e-3, kappa/c) for modified)")
+
+
+def _add_output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", default="csv", choices=("csv", "json"))
     p.add_argument("--out", default=None, help="write output to this path")
     p.add_argument("--check", action="store_true",
@@ -119,23 +112,26 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grid_flags(p)
     _add_sweep_flags(p)
     p.add_argument("--algo", default="both", choices=("greedy", "modified", "both"))
-    _add_common_flags(p)
+    _add_step_flag(p)
+    _add_output_flags(p)
 
     p = sub.add_parser("theory", help="ODE point predictions per (c, kappa)")
     _add_grid_flags(p)
-    _add_common_flags(p)
+    _add_step_flag(p)
+    _add_output_flags(p)
 
     p = sub.add_parser("table", help="recompute the kappa=1/2 reference table")
-    _add_common_flags(p)
+    _add_step_flag(p)
+    _add_output_flags(p)
 
     p = sub.add_parser("asymptotics", help="regime brackets vs the exact root")
     _add_grid_flags(p, c_default="1.0,3.0", kappa_default="0.52,10.0")
-    _add_common_flags(p)
+    _add_output_flags(p)
 
     p = sub.add_parser("conjecture", help="modified vs plain greedy per cell")
     _add_grid_flags(p)
     _add_sweep_flags(p)
-    _add_common_flags(p)
+    _add_output_flags(p)
     return parser
 
 
@@ -156,9 +152,8 @@ def _cmd_simulate(args) -> int:
         ode_step=args.step, sample_stride=args.stride,
         output_path=args.out, output_format=args.format)
     rows, _ = run_monte_carlo(cfg)
-    if not args.out:
-        _emit(rows_to_csv(rows) if args.format == "csv" else rows_to_json(rows),
-              None)
+    if not args.out:   # run_monte_carlo has written --out itself
+        _emit([asdict(r) for r in rows], AGGREGATE_COLUMNS, args)
     if any(r.algorithm == "greedy" and r.kappa == 0.5 for r in rows):
         _note(greedy_convention_statement(rows))
     if not args.check:
@@ -183,9 +178,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_theory(args) -> int:
     rows = theory_report(args.c, args.kappa, step=args.step)
-    text = (_dicts_to_csv(rows, THEORY_KEYS) if args.format == "csv"
-            else _dicts_to_json(rows))
-    _emit(text, args.out)
+    _emit(rows, THEORY_COLUMNS, args)
     if not args.check:
         return 0
     bad = [r for r in rows
@@ -200,10 +193,7 @@ def _cmd_theory(args) -> int:
 
 def _cmd_table(args) -> int:
     tc = reproduce_reference_table(step=args.step)
-    if args.format == "csv":
-        _emit(tc.csv(), args.out)
-    else:
-        _emit(_dicts_to_json(tc.rows), args.out)
+    _emit(tc.rows, TABLE_COLUMNS, args)
     _note(f"greedy column matches the {tc.greedy_convention} closed form")
     for (c, d) in tc.modified_outliers:
         _note(f"note: modified column at c={c} is off by {d:+.4f} from the "
@@ -223,9 +213,7 @@ def _cmd_table(args) -> int:
 
 def _cmd_asymptotics(args) -> int:
     rows = asymptotics_report(args.c, args.kappa)
-    text = (asymptotics_csv(rows) if args.format == "csv"
-            else _dicts_to_json(rows))
-    _emit(text, args.out)
+    _emit(rows, ASYMPTOTICS_COLUMNS, args)
     if not rows:
         _note("note: no asymptotic regime accepts any of the given (c, kappa)")
     if not args.check:
@@ -242,16 +230,9 @@ def _cmd_conjecture(args) -> int:
     cfg = _sweep_config(
         c_values=args.c, kappa_values=args.kappa, n_values=args.n,
         algorithms=("greedy", "modified"), reps=args.reps,
-        master_seed=args.seed, ode_step=args.step,
-        sample_stride=args.stride)
+        master_seed=args.seed, sample_stride=args.stride)
     report = check_conjecture(cfg)
-    rows = [{"c": r.c, "kappa": r.kappa, "n": r.n,
-             "mean_greedy": r.mean_greedy, "mean_modified": r.mean_modified,
-             "diff": r.diff, "margin": r.margin, "status": r.status}
-            for r in report.rows]
-    text = (_dicts_to_csv(rows, CONJECTURE_KEYS) if args.format == "csv"
-            else _dicts_to_json(rows))
-    _emit(text, args.out)
+    _emit([asdict(r) for r in report.rows], CONJECTURE_COLUMNS, args)
     for v in report.violations:
         _note(f"violation at (c={v.c}, kappa={v.kappa}, n={v.n}): greedy "
               f"{v.mean_greedy:.4f} beats modified {v.mean_modified:.4f} "

@@ -39,12 +39,19 @@ from .asymptotics import (
 )
 from .rng import mix
 
-AGGREGATE_HEADER = ("c,kappa,n,algorithm,reps,mean_mu_over_n,stderr,"
-                    "theory_mu_over_n,abs_deviation")
-ASYMPTOTICS_HEADER = "c,kappa,regime,lower,estimate,upper,tau0_exact,contained"
-TABLE_HEADER = ("c,reference_greedy,theory_sqrt_c1,delta_sqrt_c1,"
-                "theory_sqrt_2c1,delta_sqrt_2c1,reference_modified,"
-                "theory_modified,delta_modified")
+# Column order of each CSV table; JSON rows carry the same keys in the same
+# order (simulate's rows add runtime_seconds).
+AGGREGATE_COLUMNS = ("c", "kappa", "n", "algorithm", "reps", "mean_mu_over_n",
+                     "stderr", "theory_mu_over_n", "abs_deviation")
+THEORY_COLUMNS = ("c", "kappa", "tau0_greedy", "tau0_greedy_numeric",
+                  "tau0_modified", "mu_greedy", "mu_modified", "upper_bound")
+TABLE_COLUMNS = ("c", "reference_greedy", "theory_sqrt_c1", "delta_sqrt_c1",
+                 "theory_sqrt_2c1", "delta_sqrt_2c1", "reference_modified",
+                 "theory_modified", "delta_modified")
+ASYMPTOTICS_COLUMNS = ("c", "kappa", "regime", "lower", "estimate", "upper",
+                       "tau0_exact", "contained")
+CONJECTURE_COLUMNS = ("c", "kappa", "n", "mean_greedy", "mean_modified",
+                      "diff", "margin", "status")
 
 # Matching fractions at kappa = 1/2 used as a cross-check target,
 # keyed by c: (greedy column, modified column).
@@ -141,11 +148,6 @@ class AggregateRow:
     abs_deviation: float      # nan when no prediction applies
     runtime_seconds: float
 
-    def csv_line(self) -> str:
-        return (f"{self.c!r},{self.kappa!r},{self.n},{self.algorithm},"
-                f"{self.reps},{self.mean_mu_over_n!r},{self.stderr!r},"
-                f"{self.theory_mu_over_n!r},{self.abs_deviation!r}")
-
 
 @functools.lru_cache(maxsize=None)
 def theory_mu_over_n(c: float, kappa: float, algorithm: str,
@@ -174,7 +176,7 @@ def run_monte_carlo(cfg: ExperimentConfig
     sink = None
     if cfg.output_path and cfg.output_format == "csv":
         sink = open(cfg.output_path, "w")
-        sink.write(AGGREGATE_HEADER + "\n")
+        sink.write(to_csv([], AGGREGATE_COLUMNS))
         sink.flush()
     try:
         for cell_index, (c, kappa, n, algo) in enumerate(cfg.cells()):
@@ -209,31 +211,36 @@ def run_monte_carlo(cfg: ExperimentConfig
                                runtime_seconds=cell_time)
             rows.append(row)
             if sink is not None:
-                sink.write(row.csv_line() + "\n")
+                sink.write(_csv_line(asdict(row), AGGREGATE_COLUMNS))
                 sink.flush()
     finally:
         if sink is not None:
             sink.close()
         if cfg.output_path and cfg.output_format == "json":
             with open(cfg.output_path, "w") as fh:
-                fh.write(rows_to_json(rows))
+                fh.write(to_json([asdict(r) for r in rows]))
     return rows, records
 
 
-def rows_to_csv(rows: list[AggregateRow]) -> str:
-    lines = [AGGREGATE_HEADER]
-    lines.extend(row.csv_line() for row in rows)
-    return "\n".join(lines) + "\n"
+def _csv_line(row: dict, columns) -> str:
+    cells = (row.get(k) for k in columns)
+    return ",".join("" if v is None else repr(v) if isinstance(v, float)
+                    else str(v) for v in cells) + "\n"
 
 
-def _de_nan(obj: dict) -> dict:
-    return {k: (None if isinstance(v, float) and math.isnan(v) else v)
-            for k, v in obj.items()}
+def to_csv(rows: list[dict], columns) -> str:
+    """A header line, then one line per row: floats by repr (so nan is
+    "nan"), None as an empty cell, anything else by str."""
+    return ",".join(columns) + "\n" + "".join(_csv_line(r, columns)
+                                              for r in rows)
 
 
-def rows_to_json(rows: list[AggregateRow]) -> str:
-    return json.dumps([_de_nan(asdict(r)) for r in rows], indent=2,
-                      allow_nan=False) + "\n"
+def to_json(rows: list[dict]) -> str:
+    """An indented JSON array of the rows; nan values become null."""
+    return json.dumps(
+        [{k: None if isinstance(v, float) and math.isnan(v) else v
+          for k, v in r.items()} for r in rows],
+        indent=2, allow_nan=False) + "\n"
 
 
 def greedy_convention_statement(rows: list[AggregateRow]) -> str:
@@ -262,13 +269,6 @@ class TableComparison:
     rows: list[dict]
     greedy_convention: str
     modified_outliers: list[tuple[float, float]]   # (c, delta) beyond 0.01
-
-    def csv(self) -> str:
-        lines = [TABLE_HEADER]
-        for r in self.rows:
-            lines.append(",".join(repr(r[k]) if isinstance(r[k], float) else str(r[k])
-                                  for k in TABLE_HEADER.split(",")))
-        return "\n".join(lines) + "\n"
 
 
 def reproduce_reference_table(step: float | None = None) -> TableComparison:
@@ -389,22 +389,21 @@ def theory_report(c_values, kappa_values,
     for c in c_values:
         for kappa in kappa_values:
             p = TheoryParams(c, kappa)
-            row: dict = {"c": c, "kappa": kappa}
-            row["tau0_greedy"] = tau0_general(p)
+            tau0 = tau0_general(p)
             try:
-                row["tau0_greedy_numeric"] = integrate_greedy(p, step=step).tau0
+                tau0_numeric = integrate_greedy(p, step=step).tau0
             except IntegrationFailure:
-                row["tau0_greedy_numeric"] = None
+                tau0_numeric = None
             try:
                 traj = integrate_modified(p, step=step)
-                row["tau0_modified"] = traj.tau0
-                row["mu_modified"] = traj.mu_over_n
+                tau0_mod, mu_mod = traj.tau0, traj.mu_over_n
             except IntegrationFailure:
-                row["tau0_modified"] = None
-                row["mu_modified"] = None
-            row["mu_greedy"] = row["tau0_greedy"]
-            row["upper_bound"] = modified_upper_bound(c)
-            out.append(row)
+                tau0_mod = mu_mod = None
+            out.append({"c": c, "kappa": kappa, "tau0_greedy": tau0,
+                        "tau0_greedy_numeric": tau0_numeric,
+                        "tau0_modified": tau0_mod, "mu_greedy": tau0,
+                        "mu_modified": mu_mod,
+                        "upper_bound": modified_upper_bound(c)})
     return out
 
 
@@ -432,12 +431,3 @@ def asymptotics_report(c_values, kappa_values) -> list[dict]:
                     "contained": b.contains(exact),
                 })
     return out
-
-
-def asymptotics_csv(rows: list[dict]) -> str:
-    lines = [ASYMPTOTICS_HEADER]
-    for r in rows:
-        lines.append(f"{r['c']!r},{r['kappa']!r},{r['regime']},{r['lower']!r},"
-                     f"{r['estimate']!r},{r['upper']!r},{r['tau0_exact']!r},"
-                     f"{r['contained']}")
-    return "\n".join(lines) + "\n"

@@ -31,9 +31,6 @@ import numpy as np
 
 from .colored_graph import ColoredGraph
 
-TRAJECTORY_HEADER = "t,nu,mu_edges,q_remaining"
-
-
 @dataclass
 class MatchingResult:
     algorithm: str
@@ -48,11 +45,6 @@ class MatchingResult:
     steps_total: int
     isolated_deletions: int
     trajectory: list[tuple[int, int, int, int]] = field(repr=False)
-
-    def trajectory_csv(self) -> str:
-        lines = [TRAJECTORY_HEADER]
-        lines.extend(f"{t},{nu},{mu},{qr}" for (t, nu, mu, qr) in self.trajectory)
-        return "\n".join(lines) + "\n"
 
 
 @dataclass

@@ -15,7 +15,8 @@ Vertex greedy (modified): with lambda = 2M/N the pair (M, N) evolves as
     M' = lambda (e^-lambda - 2) - M (1 - e^-lambda) / (N + tau + kappa - 1)
     N' = e^-lambda - 2
 but on the trajectory M = (c / (2 kappa)) N^2 (N + tau + kappa - 1), which
-collapses everything into the single reduced equation in modified_rhs.
+collapses everything into the single reduced equation
+    N' = e^(-(c/kappa) N (N + tau + kappa - 1)) - 2,  N(0) = 1.
 N hits zero at tau0 in [1/2, 1] and the matching density is 1 - tau0.
 The color budget Q = N + tau + kappa - 1 never reaches zero: Q' =
 e^-lambda - 1 >= -lambda = -(c/kappa) N Q, so Q decays at most
@@ -118,17 +119,6 @@ def _last_step_zero(rhs, tau: float, y: float, step: float,
 
 
 # -- edge greedy ------------------------------------------------------------
-
-def greedy_rhs(tau: float, m: float, c: float, kappa: float) -> float:
-    """Slope of the alive-edge density M at (tau, m).
-
-    c only fixes the initial condition M(0) = c/2; it is accepted here so
-    all right-hand sides share a signature.
-    """
-    if not 0 <= tau < min(0.5, kappa):
-        raise ValueError(f"tau={tau} outside [0, min(1/2, kappa))")
-    return -1.0 - 4.0 * m / (1.0 - 2.0 * tau) - m / (kappa - tau)
-
 
 def integrate_greedy(params: TheoryParams,
                      step: float | None = None) -> OdeTrajectory:
@@ -283,27 +273,6 @@ def tau0_general(params: TheoryParams) -> float:
 
 
 # -- vertex greedy (modified) ------------------------------------------------
-
-def modified_rhs(tau: float, n_density: float, c: float, kappa: float) -> float:
-    """Slope of the alive-vertex density N in the reduced one-equation form.
-
-    Uses the on-trajectory identity lambda = (c/kappa) N (N + tau + kappa - 1)
-    to eliminate M; always lies in [-2, -1] for nonnegative arguments.
-    """
-    lam = (c / kappa) * n_density * (n_density + tau + kappa - 1.0)
-    return math.exp(-lam) - 2.0
-
-
-def m_from_n(tau: float, n_density: float, params: TheoryParams) -> float:
-    """Alive-edge density implied by N on the modified trajectory."""
-    return (params.c / (2.0 * params.kappa)) * n_density ** 2 \
-        * (n_density + tau + params.kappa - 1.0)
-
-
-def q_fraction(tau: float, n_density: float, kappa: float) -> float:
-    """Unconsumed color density Q = N + tau + kappa - 1 (Q(0) = kappa)."""
-    return n_density + tau + kappa - 1.0
-
 
 def integrate_modified(params: TheoryParams,
                        step: float | None = None) -> OdeTrajectory:
@@ -534,11 +503,3 @@ def convexity_second_differences(traj: OdeTrajectory, kappa: float,
     nv = nvals[idx]
     f = nv * (nv + t + kappa - 1.0)
     return f[2:] - 2.0 * f[1:-1] + f[:-2]
-
-
-# -- export -------------------------------------------------------------------
-
-def trajectory_csv(traj: OdeTrajectory) -> str:
-    lines = ["tau,value"]
-    lines.extend(f"{float(t)!r},{float(v)!r}" for t, v in zip(traj.taus, traj.values))
-    return "\n".join(lines) + "\n"

@@ -3,25 +3,29 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 
 import pytest
 
 import rainbow_greedy
 from rainbow_greedy.cli import main
 from rainbow_greedy.experiment_harness import (
-    AGGREGATE_HEADER,
+    AGGREGATE_COLUMNS,
+    ASYMPTOTICS_COLUMNS,
+    CONJECTURE_COLUMNS,
     REFERENCE_TABLE,
+    TABLE_COLUMNS,
+    THEORY_COLUMNS,
     ExperimentConfig,
-    asymptotics_csv,
     asymptotics_report,
     check_conjecture,
     greedy_convention_statement,
     reproduce_reference_table,
-    rows_to_csv,
-    rows_to_json,
     run_monte_carlo,
     theory_mu_over_n,
     theory_report,
+    to_csv,
+    to_json,
 )
 from rainbow_greedy.ode_theory import (
     TheoryParams,
@@ -36,6 +40,14 @@ def small_cfg(**kw):
                 reps=3, master_seed=11, ode_step=1e-4)
     base.update(kw)
     return ExperimentConfig(**base)
+
+
+def sweep_csv(rows):
+    return to_csv([asdict(r) for r in rows], AGGREGATE_COLUMNS)
+
+
+def sweep_json(rows):
+    return to_json([asdict(r) for r in rows])
 
 
 class TestConfig:
@@ -99,13 +111,13 @@ class TestMonteCarlo:
     def test_deterministic_csv(self):
         a, _ = run_monte_carlo(small_cfg())
         b, _ = run_monte_carlo(small_cfg())
-        assert rows_to_csv(a) == rows_to_csv(b)
+        assert sweep_csv(a) == sweep_csv(b)
 
     def test_json_differs_only_in_runtime(self):
         a, _ = run_monte_carlo(small_cfg())
         b, _ = run_monte_carlo(small_cfg())
-        da = json.loads(rows_to_json(a))
-        db = json.loads(rows_to_json(b))
+        da = json.loads(sweep_json(a))
+        db = json.loads(sweep_json(b))
         for ra, rb in zip(da, db):
             ra.pop("runtime_seconds")
             rb.pop("runtime_seconds")
@@ -133,7 +145,7 @@ class TestMonteCarlo:
 
     def test_csv_header_and_shape(self):
         rows, _ = run_monte_carlo(small_cfg())
-        text = rows_to_csv(rows)
+        text = sweep_csv(rows)
         lines = text.strip().split("\n")
         assert lines[0] == ("c,kappa,n,algorithm,reps,mean_mu_over_n,stderr,"
                             "theory_mu_over_n,abs_deviation")
@@ -145,13 +157,13 @@ class TestMonteCarlo:
         out = tmp_path / "sweep.csv"
         cfg = small_cfg(output_path=str(out))
         rows, _ = run_monte_carlo(cfg)
-        assert out.read_text() == rows_to_csv(rows)
+        assert out.read_text() == sweep_csv(rows)
 
     def test_json_output_file(self, tmp_path):
         out = tmp_path / "sweep.json"
         cfg = small_cfg(output_path=str(out), output_format="json")
         rows, _ = run_monte_carlo(cfg)
-        assert json.loads(out.read_text()) == json.loads(rows_to_json(rows))
+        assert json.loads(out.read_text()) == json.loads(sweep_json(rows))
 
     def test_nan_theory_becomes_null_in_json(self):
         # no modified prediction at (c=100, kappa=0.01): step 1e-2 is far
@@ -161,7 +173,7 @@ class TestMonteCarlo:
                                reps=1, master_seed=5, ode_step=1e-2)
         rows, _ = run_monte_carlo(cfg)
         assert math.isnan(rows[0].theory_mu_over_n)
-        payload = json.loads(rows_to_json(rows))
+        payload = json.loads(sweep_json(rows))
         assert payload[0]["theory_mu_over_n"] is None
 
     def test_theory_values_computed_once_per_cell(self):
@@ -238,7 +250,7 @@ class TestReferenceTable:
 
     def test_csv_round_trip(self):
         tc = reproduce_reference_table(step=1e-4)
-        lines = tc.csv().strip().split("\n")
+        lines = to_csv(tc.rows, TABLE_COLUMNS).strip().split("\n")
         assert lines[0].startswith("c,reference_greedy")
         assert len(lines) == 11
 
@@ -294,7 +306,7 @@ class TestAsymptoticsReport:
 
     def test_csv_shape(self):
         rows = asymptotics_report([3.0], [10.0])
-        lines = asymptotics_csv(rows).strip().split("\n")
+        lines = to_csv(rows, ASYMPTOTICS_COLUMNS).strip().split("\n")
         assert lines[0] == "c,kappa,regime,lower,estimate,upper,tau0_exact,contained"
         assert lines[1].endswith(",True")
 
@@ -309,7 +321,7 @@ class TestCli:
         captured = capsys.readouterr()
         assert rc == 0
         lines = captured.out.strip().split("\n")
-        assert lines[0] == AGGREGATE_HEADER
+        assert lines[0] == ",".join(AGGREGATE_COLUMNS)
         assert len(lines) == 3
         assert "sqrt(2c+1)" in captured.err
 
@@ -326,7 +338,7 @@ class TestCli:
         rc = main(["simulate", "--c", "1", "--kappa", "0.5", "--n", "500",
                    "--reps", "2", "--step", "1e-4", "--out", str(out)])
         assert rc == 0
-        assert out.read_text().startswith(AGGREGATE_HEADER)
+        assert out.read_text().startswith(",".join(AGGREGATE_COLUMNS))
         assert capsys.readouterr().out == ""
 
     def test_theory_check_passes(self, capsys):
@@ -361,7 +373,7 @@ class TestCli:
 
     def test_conjecture_runs(self, capsys):
         rc = main(["conjecture", "--c", "1", "--kappa", "0.5", "--n", "500",
-                   "--reps", "3", "--step", "1e-4", "--check"])
+                   "--reps", "3", "--check"])
         assert rc == 0
         out = capsys.readouterr().out
         assert out.startswith("c,kappa,n,mean_greedy")
@@ -375,9 +387,25 @@ class TestCli:
         out.write_text("earlier output\n")
         with pytest.raises(SystemExit) as exc:
             main([command, "--c", "1", "--n", "100", "--reps", "2",
-                  "--step", "1e-4", "--out", str(out), *bad])
+                  "--out", str(out), *bad])
         assert exc.value.code == 2
         assert "error:" in capsys.readouterr().err
+        assert out.read_text() == "earlier output\n"
+
+    @pytest.mark.parametrize("command", ["simulate", "theory", "asymptotics",
+                                         "conjecture"])
+    @pytest.mark.parametrize("flag", ["--c", "--kappa"])
+    @pytest.mark.parametrize("value", ["inf", "1,nan"])
+    def test_non_finite_grid_value_is_an_argument_error(self, tmp_path, capsys,
+                                                        command, flag, value):
+        # a non-finite c or kappa has no prediction, and an inf in a row
+        # makes to_json raise
+        out = tmp_path / "kept.csv"
+        out.write_text("earlier output\n")
+        with pytest.raises(SystemExit) as exc:
+            main([command, flag, value, "--format", "json", "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"argument {flag}: values must be finite" in capsys.readouterr().err
         assert out.read_text() == "earlier output\n"
 
     @pytest.mark.parametrize("command", ["simulate", "theory", "table",
@@ -390,8 +418,61 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             main([command, "--step", step, "--out", str(out)])
         assert exc.value.code == 2
-        assert "argument --step" in capsys.readouterr().err
+        if command not in ("asymptotics", "conjecture"):   # no --step there
+            assert "argument --step" in capsys.readouterr().err
         assert out.read_text() == "earlier output\n"
+
+    @pytest.mark.parametrize("command", ["asymptotics", "conjecture"])
+    def test_step_is_not_an_option_without_ode_output(self, tmp_path, capsys,
+                                                      command):
+        # neither command reports an ODE value, so even a valid step is
+        # an unknown argument
+        out = tmp_path / "kept.csv"
+        out.write_text("earlier output\n")
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--step", "1e-4", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --step" in capsys.readouterr().err
+        assert out.read_text() == "earlier output\n"
+
+    def test_asymptotics_csv_text(self, capsys):
+        # pure-Python math on the default grid, so the digits are stable
+        assert main(["asymptotics"]) == 0
+        assert capsys.readouterr().out == (
+            "c,kappa,regime,lower,estimate,upper,tau0_exact,contained\n"
+            "1.0,0.52,near-half,0.20624730867551555,0.20624730867551555,"
+            "0.21642357320487982,0.21280186723293343,True\n"
+            "3.0,0.52,near-half,0.30745488831169887,0.30745488831169887,"
+            "0.3177289990116521,0.3139516054962164,True\n"
+            "3.0,10.0,large-kappa,0.37244560493506573,0.37244581180670716,"
+            "0.3724460186776775,0.3724457434888862,True\n")
+
+    @pytest.mark.parametrize("argv, nulls", [
+        pytest.param(["simulate", "--c", "100", "--kappa", "0.01", "--n",
+                      "2000", "--reps", "2", "--step", "1e-2", "--algo",
+                      "modified"],
+                     ["theory_mu_over_n", "abs_deviation"], id="simulate"),
+        pytest.param(["theory", "--c", "6", "--kappa", "0.075"],
+                     ["tau0_greedy_numeric"], id="theory"),
+        pytest.param(["table", "--step", "1e-3"], [], id="table"),
+        pytest.param(["asymptotics"], [], id="asymptotics"),
+        pytest.param(["conjecture", "--c", "1", "--kappa", "0.5", "--n", "500",
+                      "--reps", "2"], [], id="conjecture"),
+    ])
+    def test_json_rows_have_the_csv_columns(self, capsys, argv, nulls):
+        # the nulls are the values no prediction gives: at step 1e-2 the
+        # modified ODE runs away at c/kappa = 10^4, and at (6, 0.075) the
+        # greedy root lies within one step of kappa
+        assert main(argv) == 0
+        header = capsys.readouterr().out.split("\n")[0].split(",")
+        if argv[0] == "simulate":
+            header.append("runtime_seconds")
+        assert main([*argv, "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert rows
+        for row in rows:
+            assert list(row) == header
+            assert [k for k, v in row.items() if v is None] == nulls
 
     def test_module_entry_point(self):
         # the child imports the package this process imported

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from rainbow_greedy.colored_graph import ColoredGraph, generate
 from rainbow_greedy.greedy_engines import (
-    TRAJECTORY_HEADER,
     MatchingResult,
     _first_fit,
     run_greedy,
@@ -78,14 +77,6 @@ class TestGreedy:
         a = run_greedy(fresh(), 99)
         b = run_greedy(fresh(), 99)
         assert a == b
-
-    def test_trajectory_csv(self):
-        r = run_greedy(fresh(), 1, sample_stride=50)
-        text = r.trajectory_csv()
-        lines = text.strip().split("\n")
-        assert lines[0] == TRAJECTORY_HEADER
-        assert len(lines) == 1 + len(r.trajectory)
-        assert lines[1] == "0,400,500,150"
 
 
 class TestModified:

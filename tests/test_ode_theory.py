@@ -13,18 +13,13 @@ from rainbow_greedy.ode_theory import (
     TheoryParams,
     convexity_second_differences,
     f_kappa,
-    greedy_rhs,
     integrate_greedy,
     integrate_modified,
     m_closed_general,
     m_closed_half,
-    m_from_n,
-    modified_rhs,
     modified_upper_bound,
-    q_fraction,
     tau0_closed_half,
     tau0_general,
-    trajectory_csv,
 )
 from rainbow_greedy.asymptotics import predict_greedy_tau0
 from rainbow_greedy.colored_graph import generate
@@ -82,25 +77,6 @@ class TestParams:
             TheoryParams(0.0, 0.5)
         with pytest.raises(ValueError):
             TheoryParams(1.0, -1.0)
-
-
-class TestGreedyRhs:
-    def test_initial_slope_at_half(self):
-        assert greedy_rhs(0.0, 0.5, 1.0, 0.5) == -4.0
-
-    def test_interior_value(self):
-        assert greedy_rhs(0.1, 0.3, 1.0, 0.5) == pytest.approx(-3.25, abs=1e-12)
-
-    def test_zero_m_slope(self):
-        assert greedy_rhs(0.3, 0.0, 2.0, 1.0) == -1.0
-
-    def test_domain_violations(self):
-        with pytest.raises(ValueError):
-            greedy_rhs(0.5, 0.1, 1.0, 0.6)
-        with pytest.raises(ValueError):
-            greedy_rhs(0.4, 0.1, 1.0, 0.3)
-        with pytest.raises(ValueError):
-            greedy_rhs(-0.1, 0.1, 1.0, 0.5)
 
 
 class TestClosedHalf:
@@ -246,24 +222,11 @@ class TestTau0General:
         assert abs(sum(mus) / len(mus) - tau0_general(TheoryParams(c, kappa))) < 1e-4
 
 
-class TestModifiedRhs:
-    def test_initial_value(self):
-        assert modified_rhs(0.0, 1.0, 1.0, 0.5) == pytest.approx(
-            math.exp(-1) - 2, abs=1e-15)
-
-    def test_depleted_vertices_slope(self):
-        assert modified_rhs(0.7, 0.0, 2.0, 0.5) == -1.0
-
-    def test_range(self):
-        for (tau, nv, c, kappa) in ((0.1, 0.9, 1.0, 0.5), (0.5, 0.4, 3.0, 1.0),
-                                    (0.2, 0.7, 0.5, 2.0)):
-            assert -2.0 <= modified_rhs(tau, nv, c, kappa) <= -1.0
-
-    def test_m_from_n_and_q_fraction(self):
-        p = TheoryParams(1.0, 0.5)
-        assert m_from_n(0.0, 1.0, p) == pytest.approx(0.5, abs=1e-15)
-        assert q_fraction(0.0, 1.0, 0.5) == pytest.approx(0.5, abs=1e-15)
-        assert q_fraction(0.3, 0.5, 0.5) == pytest.approx(0.3, abs=1e-15)
+def m_from_n(tau, n_density, params):
+    """Alive-edge density M = (c / (2 kappa)) N^2 (N + tau + kappa - 1)
+    implied by N on the modified trajectory."""
+    return (params.c / (2.0 * params.kappa)) * n_density ** 2 \
+        * (n_density + tau + params.kappa - 1.0)
 
 
 def _modified_full_system(params, step):
@@ -409,15 +372,6 @@ class TestUpperBound:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             modified_upper_bound(0.0)
-
-
-class TestSummariesAndExport:
-    def test_trajectory_csv(self):
-        traj = integrate_greedy(TheoryParams(1.0, 0.5), step=1e-3)
-        lines = trajectory_csv(traj).strip().split("\n")
-        assert lines[0] == "tau,value"
-        assert lines[1] == "0.0,0.5"
-        assert len(lines) == 1 + len(traj.taus)
 
 
 @settings(max_examples=30, deadline=None)
