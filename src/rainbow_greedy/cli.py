@@ -8,7 +8,8 @@ experiment_harness.to_csv / to_json, to stdout or --out; human-readable
 notes go to stderr. simulate, theory and table take --step; asymptotics
 and conjecture report no ODE value and reject it. Exit codes: 0 success,
 1 a --check (the command validating its own output) failed, 2 an
-argument error, raised before --out is opened.
+argument error, raised before --out is opened; that includes a (c, kappa)
+that theory or asymptotics has no prediction for.
 """
 
 from __future__ import annotations
@@ -71,6 +72,12 @@ def _note(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
+def _value_error(exc: ValueError) -> int:
+    """Report a value no prediction accepts as a one-line argument error."""
+    _note(f"rainbow-greedy: error: {exc}")
+    return 2
+
+
 def _add_grid_flags(p: argparse.ArgumentParser, c_default="1.0",
                     kappa_default="0.5") -> None:
     p.add_argument("--c", default=c_default, type=_floats,
@@ -84,8 +91,6 @@ def _add_sweep_flags(p: argparse.ArgumentParser) -> None:
                    help="comma-separated instance sizes")
     p.add_argument("--reps", default=10, type=int)
     p.add_argument("--seed", default=20250819, type=int, help="master seed")
-    p.add_argument("--stride", default=None, type=int,
-                   help="trajectory sample stride (default n/1000)")
 
 
 def _add_step_flag(p: argparse.ArgumentParser) -> None:
@@ -149,8 +154,7 @@ def _cmd_simulate(args) -> int:
     cfg = _sweep_config(
         c_values=args.c, kappa_values=args.kappa, n_values=args.n,
         algorithms=algos, reps=args.reps, master_seed=args.seed,
-        ode_step=args.step, sample_stride=args.stride,
-        output_path=args.out, output_format=args.format)
+        ode_step=args.step, output_path=args.out, output_format=args.format)
     rows, _ = run_monte_carlo(cfg)
     if not args.out:   # run_monte_carlo has written --out itself
         _emit([asdict(r) for r in rows], AGGREGATE_COLUMNS, args)
@@ -177,7 +181,10 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_theory(args) -> int:
-    rows = theory_report(args.c, args.kappa, step=args.step)
+    try:
+        rows = theory_report(args.c, args.kappa, step=args.step)
+    except ValueError as exc:
+        return _value_error(exc)
     _emit(rows, THEORY_COLUMNS, args)
     if not args.check:
         return 0
@@ -212,7 +219,10 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_asymptotics(args) -> int:
-    rows = asymptotics_report(args.c, args.kappa)
+    try:
+        rows = asymptotics_report(args.c, args.kappa)
+    except ValueError as exc:
+        return _value_error(exc)
     _emit(rows, ASYMPTOTICS_COLUMNS, args)
     if not rows:
         _note("note: no asymptotic regime accepts any of the given (c, kappa)")
@@ -230,7 +240,7 @@ def _cmd_conjecture(args) -> int:
     cfg = _sweep_config(
         c_values=args.c, kappa_values=args.kappa, n_values=args.n,
         algorithms=("greedy", "modified"), reps=args.reps,
-        master_seed=args.seed, sample_stride=args.stride)
+        master_seed=args.seed)
     report = check_conjecture(cfg)
     _emit([asdict(r) for r in report.rows], CONJECTURE_COLUMNS, args)
     for v in report.violations:

@@ -9,46 +9,14 @@ Vertices are 0-based ids, colors are 1-based, edge ids index ColoredGraph.edges.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 import numpy as np
 
 
-class Edges(Sequence):
-    """Read-only edge list over an (m, 3) int64 array of (u, v, color) rows.
-
-    Indexing and iteration give (u, v, color) tuples of Python ints, ==
-    compares whole edge lists, and np.asarray(edges) is the array itself.
-    """
-
-    __slots__ = ("array",)
-
-    def __init__(self, array: np.ndarray):
-        array.flags.writeable = False
-        self.array = array
-
-    def __len__(self) -> int:
-        return len(self.array)
-
-    def __getitem__(self, eid: int) -> tuple[int, int, int]:
-        return tuple(self.array[eid].tolist())
-
-    def __iter__(self):
-        return map(tuple, self.array.tolist())
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Edges):
-            return np.array_equal(self.array, other.array)
-        return NotImplemented
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        return np.array(self.array, dtype=dtype, copy=copy)
-
-
 class ColoredGraph:
-    """Colored graph instance: n_initial vertices, q_total colors, edges.
+    """Colored graph instance: n_initial vertices, q_total colors, and
+    edges, a read-only (m, 3) int64 array of (u, v, color) rows.
 
-    Nothing changes it after construction, and its edge array is read-only.
+    Nothing changes it after construction.
     """
 
     __slots__ = ("n_initial", "m_initial", "q_total", "seed", "edges")
@@ -77,7 +45,8 @@ class ColoredGraph:
         self.m_initial = len(arr)
         self.q_total = q
         self.seed = seed
-        self.edges = Edges(arr)
+        arr.flags.writeable = False
+        self.edges = arr
 
 
 def _pair_from_index(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -116,7 +85,7 @@ def generate(n: int, m: int, q: int, seed: int) -> ColoredGraph:
 def dump_graph(g: ColoredGraph) -> str:
     """Serialize the instance: 'n m q' then one 'u v color' per edge."""
     lines = [f"{g.n_initial} {g.m_initial} {g.q_total}"]
-    lines.extend(f"{u} {v} {c}" for (u, v, c) in g.edges)
+    lines.extend(f"{u} {v} {c}" for (u, v, c) in g.edges.tolist())
     return "\n".join(lines) + "\n"
 
 
@@ -130,7 +99,11 @@ def load_graph(text: str) -> ColoredGraph:
     if len(lines) - 1 != m:
         raise ValueError(f"header says m={m} but {len(lines) - 1} edge lines follow")
     edges = []
-    for line in lines[1:]:
-        u, v, c = (int(x) for x in line.split())
+    for lineno, line in enumerate(lines[1:], start=2):
+        try:
+            u, v, c = (int(x) for x in line.split())
+        except ValueError:
+            raise ValueError(f"line {lineno} {line!r}: expected 'u v color', "
+                             f"three integers") from None
         edges.append((u, v, c))
     return ColoredGraph(n, q, edges, seed=None)

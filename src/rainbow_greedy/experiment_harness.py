@@ -80,23 +80,21 @@ class ExperimentConfig:
     reps: int = 20
     master_seed: int = 20250819
     ode_step: float | None = None   # None: each integrator's own default
-    sample_stride: int | None = None
     output_path: str | None = None
     output_format: str = "csv"
 
     def __post_init__(self):
         if self.reps < 1:
             raise ValueError(f"reps must be >= 1, got {self.reps}")
-        if not self.c_values or any(c <= 0 for c in self.c_values):
-            raise ValueError(f"c_values must be positive, got {self.c_values}")
-        if not self.kappa_values or any(k <= 0 for k in self.kappa_values):
-            raise ValueError(f"kappa_values must be positive, got {self.kappa_values}")
+        if not self.c_values or not all(0 < c < math.inf for c in self.c_values):
+            raise ValueError(f"c_values must be positive and finite, got {self.c_values}")
+        if not self.kappa_values or not all(0 < k < math.inf for k in self.kappa_values):
+            raise ValueError(f"kappa_values must be positive and finite, "
+                             f"got {self.kappa_values}")
         if not self.n_values or any(n < 100 for n in self.n_values):
             raise ValueError(f"n_values must be >= 100, got {self.n_values}")
         if not self.algorithms or any(a not in _ALGORITHMS for a in self.algorithms):
             raise ValueError(f"algorithms must be drawn from {_ALGORITHMS}")
-        if self.sample_stride is not None and self.sample_stride < 1:
-            raise ValueError(f"sample_stride must be >= 1, got {self.sample_stride}")
         if self.ode_step is not None:
             _validate_step(self.ode_step)
         for n in self.n_values:
@@ -191,7 +189,7 @@ def run_monte_carlo(cfg: ExperimentConfig
                 run_seed = mix(cfg.master_seed, cell_index, rep, 1)
                 tic = time.perf_counter()
                 g = generate(n, m, q, graph_seed)
-                result = runner(g, run_seed, sample_stride=cfg.sample_stride)
+                result = runner(g, run_seed)
                 elapsed = time.perf_counter() - tic
                 cell_time += elapsed
                 mu_over_n = result.mu / n

@@ -17,9 +17,11 @@ the first free edge of the rest. _first_fit runs a scan in rounds of
 O(m) numpy work; uniform orders need few rounds, an adversarial one (a
 path scanned end to end) about m/2. The README has the details.
 
-Trajectories are sampled every `sample_stride` steps as rows
-(t, nu, mu_edges, q_remaining): step count, alive vertices, alive edges,
-unconsumed colors.
+A result holds the matching as a (mu, 3) int64 array of (u, v, color)
+rows in the order they were matched, and the trajectory as a
+(steps_total + 1, 4) int64 array with one row (t, nu, mu_edges,
+q_remaining) per step t = 0..steps_total: step count, alive vertices,
+alive edges, unconsumed colors. A caller that wants fewer rows slices it.
 """
 
 from __future__ import annotations
@@ -31,7 +33,8 @@ import numpy as np
 
 from .colored_graph import ColoredGraph
 
-@dataclass
+# eq=False: the generated == would compare the arrays elementwise
+@dataclass(eq=False)
 class MatchingResult:
     algorithm: str
     n: int
@@ -39,12 +42,11 @@ class MatchingResult:
     q: int
     graph_seed: int | None
     run_seed: int | None
-    sample_stride: int
-    matching: list[tuple[int, int, int]]
+    matching: np.ndarray      # (mu, 3) int64 rows (u, v, color)
     mu: int
     steps_total: int
     isolated_deletions: int
-    trajectory: list[tuple[int, int, int, int]] = field(repr=False)
+    trajectory: np.ndarray = field(repr=False)   # (steps_total + 1, 4) int64
 
 
 @dataclass
@@ -59,14 +61,7 @@ def _resolve_rng(rng: random.Random | int) -> tuple[np.random.Generator, int | N
     return np.random.default_rng(rng), rng
 
 
-def _resolve_stride(n: int, sample_stride: int | None) -> int:
-    stride = max(1, round(n / 1000)) if sample_stride is None else sample_stride
-    if stride < 1:
-        raise ValueError(f"sample_stride must be >= 1, got {stride}")
-    return stride
-
-
-def _result(algorithm: str, g: ColoredGraph, run_seed: int | None, stride: int,
+def _result(algorithm: str, g: ColoredGraph, run_seed: int | None,
             taken: np.ndarray, taken_step: np.ndarray,
             processed: np.ndarray | list[int]) -> MatchingResult:
     """Assemble a result from the matched edge ids, the step that matched
@@ -77,7 +72,7 @@ def _result(algorithm: str, g: ColoredGraph, run_seed: int | None, stride: int,
     or its color. The run ends at the last edge death; later steps could
     only delete isolated vertices and are not part of the process.
     """
-    n, q, e = g.n_initial, g.q_total, g.edges.array
+    n, q, e = g.n_initial, g.q_total, g.edges
     vertex_step = np.full(n, n + 1)
     vertex_step[processed] = np.arange(1, len(processed) + 1)
     vertex_step[e[taken, :2]] = taken_step[:, None]
@@ -86,18 +81,16 @@ def _result(algorithm: str, g: ColoredGraph, run_seed: int | None, stride: int,
     death = np.minimum(np.minimum(vertex_step[e[:, 0]], vertex_step[e[:, 1]]),
                        color_step[e[:, 2]])
     t_end = int(death.max(initial=0))
-    ts = np.append(np.arange(0, t_end, stride), t_end)
 
-    def alive(total: int, steps: np.ndarray) -> list[int]:
-        return (total - np.bincount(steps, minlength=t_end + 1).cumsum()[ts]).tolist()
+    def alive(total: int, steps: np.ndarray) -> np.ndarray:
+        return total - np.bincount(steps, minlength=t_end + 1)[:t_end + 1].cumsum()
 
     return MatchingResult(
         algorithm=algorithm, n=n, m=len(e), q=q, graph_seed=g.seed,
-        run_seed=run_seed, sample_stride=stride,
-        matching=list(zip(*e[taken].T.tolist())), mu=len(taken),
+        run_seed=run_seed, matching=e[taken], mu=len(taken),
         steps_total=t_end, isolated_deletions=t_end - len(taken),
-        trajectory=list(zip(ts.tolist(), alive(n, vertex_step),
-                            alive(len(e), death), alive(q, taken_step))),
+        trajectory=np.stack([np.arange(t_end + 1), alive(n, vertex_step),
+                             alive(len(e), death), alive(q, taken_step)], axis=1),
     )
 
 
@@ -122,20 +115,17 @@ def _first_fit(edges: np.ndarray, n: int, q: int) -> np.ndarray:
     return np.flatnonzero(taken)
 
 
-def run_greedy(g: ColoredGraph, rng: random.Random | int,
-               sample_stride: int | None = None) -> MatchingResult:
+def run_greedy(g: ColoredGraph, rng: random.Random | int) -> MatchingResult:
     """Match a uniform remaining edge per step until no edges remain."""
     gen, run_seed = _resolve_rng(rng)
-    stride = _resolve_stride(g.n_initial, sample_stride)
-    e = g.edges.array
+    e = g.edges
     order = gen.permutation(len(e))
     taken = order[_first_fit(e.take(order, axis=0), g.n_initial, g.q_total)]
-    return _result("greedy", g, run_seed, stride, taken,
+    return _result("greedy", g, run_seed, taken,
                    np.arange(1, len(taken) + 1), [])
 
 
-def run_modified_greedy(g: ColoredGraph, rng: random.Random | int,
-                        sample_stride: int | None = None) -> MatchingResult:
+def run_modified_greedy(g: ColoredGraph, rng: random.Random | int) -> MatchingResult:
     """Match from a uniform remaining vertex per step while edges remain.
 
     A vertex with no remaining edge is deleted and counts as a step.
@@ -143,8 +133,7 @@ def run_modified_greedy(g: ColoredGraph, rng: random.Random | int,
     both endpoints and the color class are deleted.
     """
     gen, run_seed = _resolve_rng(rng)
-    stride = _resolve_stride(g.n_initial, sample_stride)
-    n, e = g.n_initial, g.edges.array
+    n, e = g.n_initial, g.edges
     # edges by their earlier endpoint's turn, then by tie: the place in its list
     tie = gen.permutation(2 * len(e)).reshape(-1, 2)
     vertices = gen.permutation(n)
@@ -158,7 +147,7 @@ def run_modified_greedy(g: ColoredGraph, rng: random.Random | int,
     earlier, later = np.sort(turns[taken], axis=1).T
     processed = np.ones(n, dtype=bool)
     processed[later] = False
-    return _result("modified", g, run_seed, stride, taken,
+    return _result("modified", g, run_seed, taken,
                    processed.cumsum()[earlier], vertices[processed])
 
 
@@ -177,7 +166,7 @@ def verify_result(g0: ColoredGraph, result: MatchingResult) -> VerifyReport:
     if result.steps_total != result.isolated_deletions + result.mu:
         return VerifyReport(False, "steps_total != isolated_deletions + mu")
 
-    n, e = g0.n_initial, g0.edges.array
+    n, e = g0.n_initial, g0.edges
     mt = np.array(result.matching, dtype=np.int64).reshape(len(result.matching), 3)
     lo, hi = np.minimum(mt[:, 0], mt[:, 1]), np.maximum(mt[:, 0], mt[:, 1])
 
@@ -211,7 +200,7 @@ def verify_result(g0: ColoredGraph, result: MatchingResult) -> VerifyReport:
     free = np.flatnonzero(~matched[e[:, 0]] & ~matched[e[:, 1]] & ~used[e[:, 2]])
     if free.size:
         return VerifyReport(False, f"not maximal: {free.size} edges such as "
-                                   f"{g0.edges[free[0]]} have both endpoints "
+                                   f"{tuple(e[free[0]].tolist())} have both endpoints "
                                    f"unmatched and an unused color")
     return VerifyReport(True)
 

@@ -45,10 +45,10 @@ class TheoryParams:
     kappa: float
 
     def __post_init__(self):
-        if not self.c > 0:
-            raise ValueError(f"c must be positive, got {self.c}")
-        if not self.kappa > 0:
-            raise ValueError(f"kappa must be positive, got {self.kappa}")
+        if not 0 < self.c < math.inf:
+            raise ValueError(f"c must be positive and finite, got {self.c}")
+        if not 0 < self.kappa < math.inf:
+            raise ValueError(f"kappa must be positive and finite, got {self.kappa}")
 
 
 @dataclass(eq=False)
@@ -246,6 +246,12 @@ def tau0_general(params: TheoryParams) -> float:
     colors are scarce that zero is below float resolution and tau0 rounds
     to kappa. Near kappa = 1/2 this delegates to the exact half-density
     formula.
+
+    When c (2 kappa - 1)^2 / (2 kappa) overflows, kappa > 1/2 bisects
+    g / (2 kappa) instead, whose terms stay finite: tau0 tends to 1/2 as c
+    grows and to c / (2 (c + 1)) as kappa grows. Raises ValueError if tau0
+    still comes out non-finite (c within a factor of about 2 of the
+    largest float).
     """
     c, kap = params.c, params.kappa
     e = 2.0 * kap - 1.0
@@ -255,21 +261,40 @@ def tau0_general(params: TheoryParams) -> float:
     # g <= 0 at `past` (tau at or beyond the zero) and g > 0 at `before`.
     # For kappa < 1/2, 0 < 2 kappa (1 - z) < 2 kappa on (0, 1) puts the zero
     # in [e^(-base - 2 kappa), e^(-base)]; the extra factor e^-1 keeps
-    # g(past) < 0 through rounding. For kappa > 1/2, log z <= z - 1 gives
-    # g <= -e at 2 + base / e.
-    if e < 0.0:
-        past, before = math.exp(-base - 2.0 * kap - 1.0), math.exp(-base)
+    # g(past) < 0 through rounding, and an overflowing base gives tau0 =
+    # kappa. For kappa > 1/2, log z <= z - 1 gives g <= -e at 2 + base / e.
+    if e > 0.0 and not math.isfinite(base):
+        # e / (2 kappa) = 1 - 1 / (2 kappa), and tau = (1 - z) / (1/kappa - 2 z)
+        shrink = 1.0 - 0.5 / kap
+        past = _bisect(lambda z: math.log(z) / (2.0 * kap) + 1.0 - z
+                       + c * shrink * shrink > 0.0, 2.0 + c * shrink, 1.0)
+        tau0 = (1.0 - past) / (1.0 / kap - 2.0 * past)
     else:
-        past, before = 2.0 + base / e, 1.0
-    while True:
+        if e < 0.0:
+            past, before = math.exp(-base - 2.0 * kap - 1.0), math.exp(-base)
+        else:
+            past, before = 2.0 + base / e, 1.0
+        past = _bisect(lambda z: math.log(z) + 2.0 * kap * (1.0 - z) + base > 0.0,
+                       past, before)
+        tau0 = kap * (1.0 - past) / (1.0 - 2.0 * past * kap)
+    if not math.isfinite(tau0):
+        raise ValueError(f"tau0 at c={c}, kappa={kap} is out of float range")
+    return tau0
+
+
+def _bisect(positive, past: float, before: float) -> float:
+    """Shrink the bracket of the sign change of `positive`, false at past
+    and true at before, to adjacent floats and return past. Halving gets
+    there from any two finite floats in under 2200 steps."""
+    for _ in range(2200):
         mid = (past + before) / 2
         if mid == past or mid == before:
             break
-        if math.log(mid) + 2.0 * kap * (1.0 - mid) + base > 0.0:
+        if positive(mid):
             before = mid
         else:
             past = mid
-    return kap * (1.0 - past) / (1.0 - 2.0 * past * kap)
+    return past
 
 
 # -- vertex greedy (modified) ------------------------------------------------

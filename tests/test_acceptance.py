@@ -181,13 +181,13 @@ def test_criterion_6_property_suite(capsys):
         seed = mix(SWEEP_SEED, 6, i)
         g1 = generate(n, m, q, seed)
         g2 = generate(n, m, q, seed)
-        r1 = run_greedy(g1, mix(seed, 1), sample_stride=1)
-        r2 = run_modified_greedy(g2, mix(seed, 2), sample_stride=1)
+        r1 = run_greedy(g1, mix(seed, 1))
+        r2 = run_modified_greedy(g2, mix(seed, 2))
         v1 = verify_result(g1, r1)
         v2 = verify_result(g2, r2)
         assert v1.ok, f"instance {i}: {v1.failure}"
         assert v2.ok, f"instance {i}: {v2.failure}"
-        for (t, nu, _, q_rem) in r2.trajectory:
+        for (t, nu, _, q_rem) in r2.trajectory.tolist():
             assert q_rem == t + nu + q - n, f"instance {i} at step {t}"
             q_identity_rows += 1
     worst_second_diff = math.inf

@@ -42,14 +42,14 @@ def disjoint_stars(copies, leaves):
 def matched_leaves(r, copies):
     # each star is matched exactly once; its leaf number is v - center
     assert len(r.matching) == copies
-    return [v - u for (u, v, _) in r.matching]
+    return [v - u for (u, v, _) in r.matching.tolist()]
 
 
 class TestGenerate:
     def test_empty(self):
         g = generate(10, 0, 5, seed=1)
         assert (g.n_initial, g.m_initial, g.q_total) == (10, 0, 5)
-        assert list(g.edges) == []
+        assert g.edges.tolist() == []
 
     def test_empty_needs_no_colors(self):
         g = generate(10, 0, 0, seed=1)
@@ -57,23 +57,24 @@ class TestGenerate:
 
     def test_complete_k4(self):
         g = generate(4, 6, 3, seed=5)
-        pairs = {(min(u, v), max(u, v)) for (u, v, _) in g.edges}
+        pairs = {(min(u, v), max(u, v)) for (u, v, _) in g.edges.tolist()}
         assert pairs == {(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)}
 
     def test_basic_invariants(self):
         g = generate(1000, 1000, 500, seed=1)
         assert g.m_initial == len(g.edges) == 1000
-        assert len({(u, v) for (u, v, _) in g.edges}) == 1000
-        assert all(0 <= u < v < 1000 for (u, v, _) in g.edges)
-        assert all(1 <= c <= 500 for (_, _, c) in g.edges)
-        assert all(type(x) is int for x in g.edges[0])
+        edges = g.edges.tolist()
+        assert len({(u, v) for (u, v, _) in edges}) == 1000
+        assert all(0 <= u < v < 1000 for (u, v, _) in edges)
+        assert all(1 <= c <= 500 for (_, _, c) in edges)
+        assert g.edges.dtype == np.int64
 
     def test_reproducible(self):
         a = generate(200, 300, 60, seed=9)
         b = generate(200, 300, 60, seed=9)
-        assert a.edges == b.edges
+        assert np.array_equal(a.edges, b.edges)
         c = generate(200, 300, 60, seed=10)
-        assert a.edges != c.edges
+        assert not np.array_equal(a.edges, c.edges)
 
     def test_rejects_too_many_edges(self):
         with pytest.raises(ValueError):
@@ -91,7 +92,7 @@ class TestGenerate:
         # 400 of the 435 pairs: the same sampler covers dense graphs
         g = generate(30, 400, 10, seed=3)
         assert g.m_initial == 400
-        assert len({(min(u, v), max(u, v)) for (u, v, _) in g.edges}) == 400
+        assert len({(min(u, v), max(u, v)) for (u, v, _) in g.edges.tolist()}) == 400
 
 
 class TestPairIndex:
@@ -122,7 +123,7 @@ class TestUniformity:
     def test_edge_sets_uniform(self):
         # every one of the C(10, 3) = 120 edge sets of G(5, 3), 60 expected each
         runs = 7200
-        counts = Counter(frozenset((u, v) for (u, v, _) in generate(5, 3, 2, seed).edges)
+        counts = Counter(frozenset((u, v) for (u, v, _) in generate(5, 3, 2, seed).edges.tolist())
                          for seed in range(runs))
         assert len(counts) == math.comb(10, 3)
         stat = sum((k - runs / 120) ** 2 / (runs / 120) for k in counts.values())
@@ -130,7 +131,7 @@ class TestUniformity:
 
     def test_colors_uniform(self):
         g = generate(3000, 30000, 7, seed=4)
-        counts = Counter(c for (_, _, c) in g.edges)
+        counts = Counter(g.edges[:, 2].tolist())
         assert sorted(counts) == list(range(1, 8))
         stat = sum((k - 30000 / 7) ** 2 / (30000 / 7) for k in counts.values())
         assert stat < chi2_critical(6)
@@ -143,8 +144,8 @@ class TestSampling:
     def test_alive_edge_empty_and_single(self):
         for run in ENGINES:
             r = run(generate(5, 0, 2, seed=1), 0)
-            assert r.matching == [] and r.steps_total == 0
-            assert run(ColoredGraph(2, 1, [(0, 1, 1)]), 0).matching == [(0, 1, 1)]
+            assert r.matching.tolist() == [] and r.steps_total == 0
+            assert run(ColoredGraph(2, 1, [(0, 1, 1)]), 0).matching.tolist() == [[0, 1, 1]]
 
     def test_alive_edge_uniform(self):
         # greedy matches the first edge it draws in each of 1000 disjoint
@@ -181,14 +182,14 @@ class TestSampling:
         g = ColoredGraph(5, 3, [(0, 1, 1), (1, 2, 2), (3, 4, 3)])
         results = [run_modified_greedy(g, seed) for seed in range(200)]
         for r in results:
-            assert r.mu == 2 and (3, 4, 3) in r.matching
+            assert r.mu == 2 and [3, 4, 3] in r.matching.tolist()
         assert {r.isolated_deletions for r in results} == {0, 1}
 
     def test_random_neighbor_unique(self):
         g = ColoredGraph(2, 1, [(0, 1, 1)])
         for seed in range(20):
             r = run_modified_greedy(g, seed)
-            assert r.matching == [(0, 1, 1)] and r.steps_total == 1
+            assert r.matching.tolist() == [[0, 1, 1]] and r.steps_total == 1
 
     def test_random_neighbor_uniform_on_star(self):
         # a leaf drawn first takes the center and a center drawn first takes
@@ -211,13 +212,13 @@ class TestDeletion:
     """Matching an edge deletes both endpoints with their edges and the
     edge's color class; the modified process also deletes isolated
     vertices. The engines do this on their own state, so these tests read
-    the deletions off trajectory rows (t, nu, mu_edges, q_remaining)
-    sampled every step."""
+    the deletions off trajectory rows (t, nu, mu_edges, q_remaining), one
+    per step."""
 
     def test_delete_isolated(self):
         # deleting the isolated vertex 2 removes one vertex, no edge, no color
         g = ColoredGraph(3, 1, [(0, 1, 1)])
-        trajectories = {tuple(run_modified_greedy(g, seed, sample_stride=1).trajectory)
+        trajectories = {tuple(map(tuple, run_modified_greedy(g, seed).trajectory.tolist()))
                         for seed in range(50)}
         assert trajectories == {((0, 3, 1, 1), (1, 1, 0, 0)),
                                 ((0, 3, 1, 1), (1, 2, 1, 1), (2, 0, 0, 0))}
@@ -225,8 +226,8 @@ class TestDeletion:
     def test_delete_star_center(self):
         for run in ENGINES:
             for seed in range(20):
-                r = run(star(5), seed, sample_stride=1)
-                assert r.trajectory == [(0, 6, 5, 5), (1, 4, 0, 4)]
+                r = run(star(5), seed)
+                assert r.trajectory.tolist() == [[0, 6, 5, 5], [1, 4, 0, 4]]
 
     def test_delete_triangle_vertex(self):
         # triangle 0-1-2 with a pendant edge (2, 3): matching an edge deletes
@@ -237,17 +238,18 @@ class TestDeletion:
         for run in ENGINES:
             seen = set()
             for seed in range(100):
-                r = run(g, seed, sample_stride=1)
-                assert r.trajectory[1] == after_first[r.matching[0]]
-                seen.add(r.matching[0])
+                r = run(g, seed)
+                first = tuple(r.matching[0].tolist())
+                assert tuple(r.trajectory[1].tolist()) == after_first[first]
+                seen.add(first)
             assert seen == set(after_first)
 
     def test_color_class_whole_graph(self):
         g = ColoredGraph(6, 2, [(0, 1, 1), (2, 3, 1), (4, 5, 1)])
         for run in ENGINES:
             for seed in range(20):
-                r = run(g, seed, sample_stride=1)
-                assert r.trajectory == [(0, 6, 3, 2), (1, 4, 0, 1)]
+                r = run(g, seed)
+                assert r.trajectory.tolist() == [[0, 6, 3, 2], [1, 4, 0, 1]]
 
     def test_color_class_subset(self):
         # color 1 on two disjoint edges, color 2 on three
@@ -257,9 +259,9 @@ class TestDeletion:
         for run in ENGINES:
             seen = set()
             for seed in range(40):
-                r = run(g, seed, sample_stride=1)
-                color = r.matching[0][2]
-                assert r.trajectory[1] == after_first[color]
+                r = run(g, seed)
+                color = int(r.matching[0, 2])
+                assert tuple(r.trajectory[1].tolist()) == after_first[color]
                 assert r.mu == 2
                 seen.add(color)
             assert seen == {1, 2}
@@ -269,19 +271,22 @@ class TestDeletion:
         # lost with the third vertex keep their colors
         for run in ENGINES:
             for seed in range(20):
-                r = run(triangle(), seed, sample_stride=1)
-                assert r.trajectory == [(0, 3, 3, 3), (1, 1, 0, 2)]
+                r = run(triangle(), seed)
+                assert r.trajectory.tolist() == [[0, 3, 3, 3], [1, 1, 0, 2]]
 
 
 class TestEdges:
-    def test_read_only_sequence_of_triples(self):
-        g = ColoredGraph(4, 2, [(0, 1, 1), (2, 3, 2)])
-        assert list(g.edges) == [(0, 1, 1), (2, 3, 2)]
-        assert g.edges[1] == (2, 3, 2)
-        assert g.edges == ColoredGraph(4, 2, [(0, 1, 1), (2, 3, 2)]).edges
-        assert g.edges != ColoredGraph(4, 2, [(0, 1, 1), (2, 3, 1)]).edges
+    def test_read_only_int64_array(self):
+        source = [(0, 1, 1), (2, 3, 2)]
+        g = ColoredGraph(4, 2, source)
+        assert g.edges.dtype == np.int64 and g.edges.shape == (2, 3)
+        assert g.edges.tolist() == [[0, 1, 1], [2, 3, 2]]
         with pytest.raises(ValueError):
-            np.asarray(g.edges)[0, 0] = 3
+            g.edges[0, 0] = 3
+        # the graph keeps its own copy; the caller's array stays writable
+        array = np.array(source)
+        ColoredGraph(4, 2, array)
+        array[0, 0] = 3
 
 
 class TestConstruction:
@@ -317,7 +322,7 @@ class TestDumpLoad:
     def test_roundtrip(self):
         g = generate(50, 80, 11, seed=3)
         h = load_graph(dump_graph(g))
-        assert h.edges == g.edges
+        assert np.array_equal(h.edges, g.edges)
         assert (h.n_initial, h.m_initial, h.q_total) == (50, 80, 11)
 
     def test_empty_roundtrip(self):
@@ -329,6 +334,11 @@ class TestDumpLoad:
         with pytest.raises(ValueError):
             load_graph("2 2 1\n0 1 1\n")
 
+    @pytest.mark.parametrize("line", ["2 3", "2 3 1 1", "2 x 1"])
+    def test_load_names_malformed_line(self, line):
+        with pytest.raises(ValueError, match=f"line 3 '{line}': expected 'u v color'"):
+            load_graph(f"4 2 2\n0 1 1\n{line}\n")
+
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
@@ -338,19 +348,19 @@ def test_deletion_sequences_preserve_counters(data):
     q = data.draw(st.integers(1, 8))
     g = generate(n, m, q, seed=data.draw(st.integers(0, 10 ** 6)))
     run = data.draw(st.sampled_from(ENGINES))
-    r = run(g, data.draw(st.integers(0, 10 ** 6)), sample_stride=1)
+    r = run(g, data.draw(st.integers(0, 10 ** 6)))
     # replay the matching, in step order, on a set of alive edges
-    alive = set(g.edges)
+    alive = set(map(tuple, g.edges.tolist()))
     alive_after = [len(alive)]
-    for (u, v, color) in r.matching:
+    for (u, v, color) in r.matching.tolist():
         assert (u, v, color) in alive
         alive = {e for e in alive if u not in e[:2] and v not in e[:2] and e[2] != color}
         alive_after.append(len(alive))
     assert alive_after[-1] == 0
     # counter identities hold after every step: a match deletes two
     # vertices and one color, an isolated deletion one vertex and no edge
-    assert [row[0] for row in r.trajectory] == list(range(r.steps_total + 1))
-    for (t, nu, mu_edges, q_rem) in r.trajectory:
+    assert r.trajectory[:, 0].tolist() == list(range(r.steps_total + 1))
+    for (t, nu, mu_edges, q_rem) in r.trajectory.tolist():
         matched = q - q_rem
         assert nu == n - t - matched
         assert mu_edges == alive_after[matched]

@@ -71,10 +71,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_cfg(algorithms=("greedy", "other"))
 
-    @pytest.mark.parametrize("stride", [0, -3])
-    def test_rejects_bad_stride(self, stride):
-        with pytest.raises(ValueError, match="sample_stride"):
-            small_cfg(sample_stride=stride)
+    @pytest.mark.parametrize("field", ["c_values", "kappa_values"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError, match=rf"{field} must be positive and "
+                                             rf"finite, got \(1.0, {value}\)"):
+            small_cfg(**{field: (1.0, value)})
 
     def test_rejects_cell_without_colors(self):
         # round(0.004 * 100) = 0, while round(0.004 * 500) = 2
@@ -379,8 +381,7 @@ class TestCli:
         assert out.startswith("c,kappa,n,mean_greedy")
 
     @pytest.mark.parametrize("command", ["simulate", "conjecture"])
-    @pytest.mark.parametrize("bad", [["--stride", "0"], ["--stride", "-3"],
-                                     ["--reps", "0"], ["--kappa", "0.001"]])
+    @pytest.mark.parametrize("bad", [["--reps", "0"], ["--kappa", "0.001"]])
     def test_bad_sweep_value_is_an_argument_error(self, tmp_path, capsys,
                                                   command, bad):
         out = tmp_path / "kept.csv"
@@ -434,6 +435,36 @@ class TestCli:
         assert exc.value.code == 2
         assert "unrecognized arguments: --step" in capsys.readouterr().err
         assert out.read_text() == "earlier output\n"
+
+    @pytest.mark.parametrize("command", ["simulate", "conjecture"])
+    def test_stride_is_not_an_option(self, tmp_path, capsys, command):
+        # the engines return every step of the trajectory
+        out = tmp_path / "kept.csv"
+        out.write_text("earlier output\n")
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--stride", "1", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --stride" in capsys.readouterr().err
+        assert out.read_text() == "earlier output\n"
+
+    @pytest.mark.parametrize("command", ["theory", "asymptotics"])
+    @pytest.mark.parametrize("cell", [["--c", "0"], ["--kappa", "-1"],
+                                      ["--c", "1.7e308", "--kappa", "2"]])
+    def test_cell_without_prediction_is_an_argument_error(self, tmp_path, capsys,
+                                                          command, cell):
+        out = tmp_path / "kept.csv"
+        out.write_text("earlier output\n")
+        assert main([command, *cell, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("rainbow-greedy: error: ") and err.count("\n") == 1
+        assert out.read_text() == "earlier output\n"
+
+    def test_theory_at_huge_kappa(self, capsys):
+        # c (2 kappa - 1)^2 / (2 kappa) overflows; tau0 is the kappa -> inf
+        # limit c / (2 (c + 1))
+        assert main(["theory", "--c", "1", "--kappa", "1e308"]) == 0
+        row = capsys.readouterr().out.split("\n")[1].split(",")
+        assert row[2] == "0.25"
 
     def test_asymptotics_csv_text(self, capsys):
         # pure-Python math on the default grid, so the digits are stable

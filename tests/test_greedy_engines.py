@@ -18,12 +18,18 @@ def fresh(seed=7, n=400, m=500, q=150):
     return generate(n, m, q, seed=seed)
 
 
+def as_lists(r):
+    """A result's fields, arrays as nested lists, to compare with ==."""
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v
+            for k, v in vars(r).items()}
+
+
 class TestGreedy:
     def test_empty_graph(self):
         r = run_greedy(generate(5, 0, 2, seed=1), 0)
         assert r.mu == 0
         assert r.steps_total == 0
-        assert r.trajectory == [(0, 5, 0, 2)]
+        assert r.trajectory.tolist() == [[0, 5, 0, 2]]
 
     def test_triangle_distinct_colors(self):
         g = ColoredGraph(3, 3, [(0, 1, 1), (1, 2, 2), (0, 2, 3)])
@@ -44,13 +50,13 @@ class TestGreedy:
 
     def test_step_accounting(self):
         g = fresh()
-        r = run_greedy(g, 5, sample_stride=1)
+        r = run_greedy(g, 5)
         assert r.isolated_deletions == 0
         assert r.steps_total == r.mu
         # each step consumes exactly one color
-        for (t, nu, mu_edges, q_rem) in r.trajectory:
+        for (t, nu, mu_edges, q_rem) in r.trajectory.tolist():
             assert q_rem == r.q - t
-        mus = [row[2] for row in r.trajectory]
+        mus = r.trajectory[:, 2].tolist()
         assert all(a > b for a, b in zip(mus, mus[1:]))
 
     def test_result_echo(self):
@@ -63,20 +69,20 @@ class TestGreedy:
 
     def test_graph_is_reusable(self):
         g = fresh()
-        assert run_greedy(g, 5) == run_greedy(g, 5)
-        assert g.edges == fresh().edges
+        assert as_lists(run_greedy(g, 5)) == as_lists(run_greedy(g, 5))
+        assert np.array_equal(g.edges, fresh().edges)
 
     def test_accepts_random_instance(self):
         g = fresh()
         a = run_greedy(g, random.Random(5))
-        assert a == run_greedy(g, random.Random(5))
+        assert as_lists(a) == as_lists(run_greedy(g, random.Random(5)))
         assert a.run_seed is None
         assert verify_result(g, a).ok
 
     def test_determinism(self):
         a = run_greedy(fresh(), 99)
         b = run_greedy(fresh(), 99)
-        assert a == b
+        assert as_lists(a) == as_lists(b)
 
 
 class TestModified:
@@ -92,7 +98,7 @@ class TestModified:
             g = ColoredGraph(6, 1, [(2, 4, 1)])
             r = run_modified_greedy(g, seed)
             assert r.mu == 1
-            assert r.matching == [(2, 4, 1)]
+            assert r.matching.tolist() == [[2, 4, 1]]
 
     def test_star_matches_once(self):
         for seed in range(10):
@@ -101,7 +107,7 @@ class TestModified:
             assert r.mu == 1
 
     def test_step_identity(self):
-        r = run_modified_greedy(fresh(), 13, sample_stride=1)
+        r = run_modified_greedy(fresh(), 13)
         assert r.steps_total == r.isolated_deletions + r.mu
 
     def test_color_accounting_every_step(self):
@@ -109,26 +115,26 @@ class TestModified:
         # step removes either one isolated vertex or two vertices plus one
         # color
         n, q = 400, 150
-        r = run_modified_greedy(fresh(), 13, sample_stride=1)
-        for (t, nu, mu_edges, q_rem) in r.trajectory:
+        r = run_modified_greedy(fresh(), 13)
+        for (t, nu, mu_edges, q_rem) in r.trajectory.tolist():
             assert q_rem == t + nu + q - n
 
     def test_matched_count_equals_consumed_colors(self):
         n, q = 400, 150
-        r = run_modified_greedy(fresh(), 29, sample_stride=1)
-        for (t, nu, mu_edges, q_rem) in r.trajectory:
+        r = run_modified_greedy(fresh(), 29)
+        for (t, nu, mu_edges, q_rem) in r.trajectory.tolist():
             matched_so_far = q - q_rem
             assert nu == n - t - matched_so_far
 
     def test_determinism(self):
         a = run_modified_greedy(fresh(), 99)
         b = run_modified_greedy(fresh(), 99)
-        assert a == b
+        assert as_lists(a) == as_lists(b)
 
     def test_graph_is_reusable(self):
         g = fresh()
-        assert run_modified_greedy(g, 5) == run_modified_greedy(g, 5)
-        assert g.edges == fresh().edges
+        assert as_lists(run_modified_greedy(g, 5)) == as_lists(run_modified_greedy(g, 5))
+        assert np.array_equal(g.edges, fresh().edges)
 
     def test_result_echo(self):
         r = run_modified_greedy(fresh(seed=8), 5)
@@ -137,21 +143,14 @@ class TestModified:
 
 
 class TestStride:
-    def test_default_stride_scales_with_n(self):
-        r = run_greedy(generate(3000, 600, 300, seed=2), 0)
-        assert r.sample_stride == 3
-
-    def test_small_n_stride_is_one(self):
-        r = run_greedy(generate(200, 100, 50, seed=2), 0)
-        assert r.sample_stride == 1
-
-    def test_invalid_stride(self):
-        with pytest.raises(ValueError):
-            run_greedy(fresh(), 0, sample_stride=0)
+    """The trajectory holds every step; a caller that wants a stride
+    slices it."""
 
     def test_final_state_always_sampled(self):
-        r = run_greedy(fresh(), 3, sample_stride=1000)
-        assert r.trajectory[-1][0] == r.steps_total
+        r = run_greedy(fresh(), 3)
+        assert r.trajectory.dtype == np.int64
+        assert r.trajectory.shape == (r.steps_total + 1, 4)
+        assert r.trajectory[:, 0].tolist() == list(range(r.steps_total + 1))
         assert r.trajectory[-1][2] == 0
 
 
@@ -164,7 +163,7 @@ class TestVerify:
 
     def test_flags_foreign_edge(self):
         r = run_greedy(fresh(), 17)
-        r.matching.append((398, 399, 1))
+        r.matching = np.vstack([r.matching, [(398, 399, 1)]])
         r.mu += 1
         rep = verify_result(fresh(), r)
         assert not rep.ok
@@ -172,7 +171,7 @@ class TestVerify:
     def test_flags_vertex_reuse(self):
         g0 = ColoredGraph(3, 2, [(0, 1, 1), (1, 2, 2)])
         r = run_greedy(ColoredGraph(3, 2, [(0, 1, 1), (1, 2, 2)]), 0)
-        r.matching = [(0, 1, 1), (1, 2, 2)]
+        r.matching = np.array([(0, 1, 1), (1, 2, 2)])
         r.mu = 2
         r.steps_total = 2
         rep = verify_result(g0, r)
@@ -182,7 +181,7 @@ class TestVerify:
     def test_flags_repeated_color(self):
         g0 = ColoredGraph(4, 2, [(0, 1, 1), (2, 3, 1)])
         r = run_greedy(ColoredGraph(4, 2, [(0, 1, 1), (2, 3, 1)]), 0)
-        r.matching = [(0, 1, 1), (2, 3, 1)]
+        r.matching = np.array([(0, 1, 1), (2, 3, 1)])
         r.mu = 2
         r.steps_total = 2
         rep = verify_result(g0, r)
@@ -192,7 +191,7 @@ class TestVerify:
     def test_flags_wrong_color_claim(self):
         g0 = ColoredGraph(2, 2, [(0, 1, 1)])
         r = run_greedy(ColoredGraph(2, 2, [(0, 1, 1)]), 0)
-        r.matching = [(0, 1, 2)]
+        r.matching = np.array([(0, 1, 2)])
         rep = verify_result(g0, r)
         assert not rep.ok
 
@@ -200,7 +199,7 @@ class TestVerify:
         g = fresh()
         for runner in (run_greedy, run_modified_greedy):
             r = runner(g, 17)
-            r.matching.pop()
+            r.matching = r.matching[:-1]
             r.mu -= 1
             r.steps_total -= 1
             rep = verify_result(g, r)
@@ -221,7 +220,7 @@ def test_both_engines_terminate_and_verify(n, m_frac, q, seed, run_seed):
     m = int(m_frac * n * (n - 1) // 2)
     g = generate(n, m, q, seed=seed)
     for runner in (run_greedy, run_modified_greedy):
-        r = runner(g, run_seed, sample_stride=1)
+        r = runner(g, run_seed)
         assert r.trajectory[-1][2] == 0
         assert r.steps_total <= n + m
         rep = verify_result(g, r)
@@ -230,12 +229,11 @@ def test_both_engines_terminate_and_verify(n, m_frac, q, seed, run_seed):
 
 class Replay:
     """Step-by-step bookkeeping of alive vertices, edges and colors, kept
-    the way the process defines them, with trajectory rows every `stride`
-    steps and at the end."""
+    the way the process defines them, with a trajectory row every step."""
 
-    def __init__(self, g, stride):
-        self.n, self.q, self.stride = g.n_initial, g.q_total, stride
-        self.edges = list(g.edges)
+    def __init__(self, g):
+        self.n, self.q = g.n_initial, g.q_total
+        self.edges = list(map(tuple, g.edges.tolist()))
         self.vertex_alive = [True] * self.n
         self.color_free = [True] * (self.q + 1)
         self.edge_alive = [True] * len(self.edges)
@@ -270,33 +268,31 @@ class Replay:
             self.color_free[color] = False
             self.q_remaining -= 1
             self.kill(self.n + color)
-        if self.t % self.stride == 0:
-            self.rows.append(self.row())
+        self.rows.append(self.row())
 
     def result(self, algorithm, g, run_seed):
-        if self.rows[-1][0] != self.t:
-            self.rows.append(self.row())
         return MatchingResult(
             algorithm=algorithm, n=self.n, m=len(self.edges), q=self.q,
-            graph_seed=g.seed, run_seed=run_seed, sample_stride=self.stride,
-            matching=self.matching, mu=len(self.matching), steps_total=self.t,
-            isolated_deletions=self.isolated, trajectory=self.rows)
+            graph_seed=g.seed, run_seed=run_seed,
+            matching=np.array(self.matching, dtype=np.int64).reshape(-1, 3),
+            mu=len(self.matching), steps_total=self.t,
+            isolated_deletions=self.isolated,
+            trajectory=np.array(self.rows, dtype=np.int64))
 
 
-def reference_setup(g, rng, sample_stride):
+def reference_setup(g, rng):
     if isinstance(rng, random.Random):
         gen, run_seed = np.random.default_rng(rng.getrandbits(128)), None
     else:
         gen, run_seed = np.random.default_rng(rng), rng
-    stride = max(1, round(g.n_initial / 1000)) if sample_stride is None else sample_stride
-    return gen, run_seed, Replay(g, stride)
+    return gen, run_seed, Replay(g)
 
 
-def reference_greedy(g, rng, sample_stride=None):
+def reference_greedy(g, rng):
     """The sequential scan: a uniform edge permutation, taking each edge
     whose endpoints and color are still free."""
-    gen, run_seed, replay = reference_setup(g, rng, sample_stride)
-    e = g.edges.array
+    gen, run_seed, replay = reference_setup(g, rng)
+    e = g.edges
     order = gen.permutation(len(e))
     for eid, u, v, c in zip(order.tolist(), *e[order].T.tolist()):
         if replay.vertex_alive[u] and replay.vertex_alive[v] and replay.color_free[c]:
@@ -304,12 +300,12 @@ def reference_greedy(g, rng, sample_stride=None):
     return replay.result("greedy", g, run_seed)
 
 
-def reference_modified(g, rng, sample_stride=None):
+def reference_modified(g, rng):
     """The sequential vertex scan: incidence lists shuffled once, then a
     uniform vertex permutation; a live vertex takes the first live edge of
     its list or is deleted as isolated, while edges remain."""
-    gen, run_seed, replay = reference_setup(g, rng, sample_stride)
-    n, e = g.n_initial, g.edges.array
+    gen, run_seed, replay = reference_setup(g, rng)
+    n, e = g.n_initial, g.edges
     ends = e[:, :2].ravel()
     half = np.argsort(ends * len(ends) + gen.permutation(len(ends)))
     first = np.concatenate(([0], np.cumsum(np.bincount(ends, minlength=n)))).tolist()
@@ -334,15 +330,18 @@ def reference_modified(g, rng, sample_stride=None):
 ENGINES = [(run_greedy, reference_greedy), (run_modified_greedy, reference_modified)]
 
 
-def assert_same_as_reference(g, seed, stride=None, as_random=False):
+def assert_same_as_reference(g, seed, as_random=False):
     def rng():
         return random.Random(seed) if as_random else seed
 
     for engine, reference in ENGINES:
-        got = engine(g, rng(), sample_stride=stride)
-        want = reference(g, rng(), sample_stride=stride)
-        assert got == want, (engine.__name__, g.n_initial, g.m_initial, seed, stride)
-        assert all(type(x) is int for row in got.matching + got.trajectory for x in row)
+        got = engine(g, rng())
+        want = reference(g, rng())
+        assert as_lists(got) == as_lists(want), (engine.__name__, g.n_initial,
+                                                 g.m_initial, seed)
+        assert got.matching.dtype == got.trajectory.dtype == np.int64
+        assert got.matching.shape == (got.mu, 3)
+        assert got.trajectory.shape == (got.steps_total + 1, 4)
         assert all(type(x) is int for x in (got.mu, got.steps_total, got.isolated_deletions))
 
 
@@ -358,20 +357,18 @@ class TestSameAsSequentialScan:
                 q = max(1, round(kappa * n))
                 for seed in range(3):
                     g = generate(n, m, q, seed=1000 * n + seed)
-                    for stride in (1, None):
-                        assert_same_as_reference(g, 7 * seed + n, stride)
+                    assert_same_as_reference(g, 7 * seed + n)
 
     def test_no_edges(self):
-        assert_same_as_reference(generate(20, 0, 0, seed=1), 4, 1)
+        assert_same_as_reference(generate(20, 0, 0, seed=1), 4)
 
     def test_one_color(self):
         for seed in range(5):
-            assert_same_as_reference(generate(60, 120, 1, seed=seed), seed, 1)
+            assert_same_as_reference(generate(60, 120, 1, seed=seed), seed)
 
     def test_random_instance_input(self):
         g = generate(300, 600, 150, seed=2)
-        for stride in (1, None):
-            assert_same_as_reference(g, 9, stride, as_random=True)
+        assert_same_as_reference(g, 9, as_random=True)
 
     def test_large_instance(self):
         assert_same_as_reference(generate(100_000, 250_000, 50_000, seed=5), 3)

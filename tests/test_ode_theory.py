@@ -78,6 +78,15 @@ class TestParams:
         with pytest.raises(ValueError):
             TheoryParams(1.0, -1.0)
 
+    @pytest.mark.parametrize("c, kappa, name", [
+        (math.inf, 0.5, "c"), (math.nan, 0.5, "c"),
+        (1.0, math.inf, "kappa"), (1.0, math.nan, "kappa")])
+    def test_rejects_non_finite(self, c, kappa, name):
+        bad = c if name == "c" else kappa
+        with pytest.raises(ValueError, match=f"{name} must be positive and "
+                                             f"finite, got {bad}"):
+            TheoryParams(c, kappa)
+
 
 class TestClosedHalf:
     def test_initial_value(self):
@@ -206,6 +215,27 @@ class TestTau0General:
     def test_near_half_against_frozen_roots(self):
         for (c, kappa), want in TAU0_NEAR_HALF.items():
             assert tau0_general(TheoryParams(c, kappa)) == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("c, kappa, want", [
+        (1.0, 1e200, 0.25), (1.0, 1e308, 0.25),   # kappa -> inf: c / (2 (c + 1))
+        (3.0, 1e308, 0.375),
+        (1e308, 2.0, 0.5),                          # c -> inf, kappa > 1/2: 1/2
+        (1e308, 0.1, 0.1)])                         # c -> inf, kappa < 1/2: kappa
+    def test_overflowing_base_gives_the_limit(self, c, kappa, want):
+        # c (2 kappa - 1)^2 / (2 kappa) overflows; this used to return nan,
+        # or never return at kappa = 1e308
+        assert tau0_general(TheoryParams(c, kappa)) == pytest.approx(want, abs=1e-12)
+
+    def test_overflowing_base_continues_the_finite_one(self):
+        # kappa = 1e15 keeps a finite base, 1e200 does not
+        near = tau0_general(TheoryParams(2.0, 1e15))
+        assert near == pytest.approx(tau0_general(TheoryParams(2.0, 1e200)), abs=1e-12)
+        assert near == pytest.approx(_tau0_fixed_point(2.0, 1e15), abs=1e-12)
+
+    @pytest.mark.parametrize("c, kappa", [(1.7e308, 2.0), (1e308, 1e308)])
+    def test_root_beyond_float_range_raises(self, c, kappa):
+        with pytest.raises(ValueError, match="out of float range"):
+            tau0_general(TheoryParams(c, kappa))
 
     @pytest.mark.parametrize("c, kappa", STARVED)
     def test_color_starved_cells(self, c, kappa):
