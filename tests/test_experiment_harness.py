@@ -381,7 +381,8 @@ class TestCli:
         assert out.startswith("c,kappa,n,mean_greedy")
 
     @pytest.mark.parametrize("command", ["simulate", "conjecture"])
-    @pytest.mark.parametrize("bad", [["--reps", "0"], ["--kappa", "0.001"]])
+    @pytest.mark.parametrize("bad", [["--n", "0"], ["--n", "99"],
+                                     ["--reps", "0"], ["--kappa", "0.001"]])
     def test_bad_sweep_value_is_an_argument_error(self, tmp_path, capsys,
                                                   command, bad):
         out = tmp_path / "kept.csv"
