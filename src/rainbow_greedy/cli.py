@@ -8,8 +8,8 @@ experiment_harness.to_csv / to_json, to stdout or --out; human-readable
 notes go to stderr. simulate, theory and table take --step; asymptotics
 and conjecture report no ODE value and reject it. Exit codes: 0 success,
 1 a --check (the command validating its own output) failed, 2 an
-argument error, raised before --out is opened; that includes a (c, kappa)
-that theory or asymptotics has no prediction for.
+argument error, raised before --out is opened; that includes a --c or
+--kappa value that is not finite and positive.
 """
 
 from __future__ import annotations
@@ -40,8 +40,9 @@ from .ode_theory import _validate_step, modified_upper_bound
 
 def _floats(text: str) -> tuple[float, ...]:
     values = tuple(float(x) for x in text.split(",") if x.strip())
-    if not all(map(math.isfinite, values)):
-        raise argparse.ArgumentTypeError(f"values must be finite, got {text}")
+    if not all(0.0 < v < math.inf for v in values):
+        raise argparse.ArgumentTypeError(
+            f"values must be finite and positive, got {text}")
     return values
 
 
@@ -70,12 +71,6 @@ def _emit(rows: list[dict], columns, args) -> None:
 
 def _note(msg: str) -> None:
     print(msg, file=sys.stderr)
-
-
-def _value_error(exc: ValueError) -> int:
-    """Report a value no prediction accepts as a one-line argument error."""
-    _note(f"rainbow-greedy: error: {exc}")
-    return 2
 
 
 def _add_grid_flags(p: argparse.ArgumentParser, c_default="1.0",
@@ -181,10 +176,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_theory(args) -> int:
-    try:
-        rows = theory_report(args.c, args.kappa, step=args.step)
-    except ValueError as exc:
-        return _value_error(exc)
+    rows = theory_report(args.c, args.kappa, step=args.step)
     _emit(rows, THEORY_COLUMNS, args)
     if not args.check:
         return 0
@@ -219,10 +211,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_asymptotics(args) -> int:
-    try:
-        rows = asymptotics_report(args.c, args.kappa)
-    except ValueError as exc:
-        return _value_error(exc)
+    rows = asymptotics_report(args.c, args.kappa)
     _emit(rows, ASYMPTOTICS_COLUMNS, args)
     if not rows:
         _note("note: no asymptotic regime accepts any of the given (c, kappa)")

@@ -395,7 +395,7 @@ def theory_report(c_values, kappa_values,
             try:
                 traj = integrate_modified(p, step=step)
                 tau0_mod, mu_mod = traj.tau0, traj.mu_over_n
-            except IntegrationFailure:
+            except (IntegrationFailure, OverflowError):   # too stiff to step
                 tau0_mod = mu_mod = None
             out.append({"c": c, "kappa": kappa, "tau0_greedy": tau0,
                         "tau0_greedy_numeric": tau0_numeric,

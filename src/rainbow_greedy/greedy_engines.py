@@ -167,7 +167,7 @@ def verify_result(g0: ColoredGraph, result: MatchingResult) -> VerifyReport:
         return VerifyReport(False, "steps_total != isolated_deletions + mu")
 
     n, e = g0.n_initial, g0.edges
-    mt = np.array(result.matching, dtype=np.int64).reshape(len(result.matching), 3)
+    mt = np.asarray(result.matching, dtype=np.int64).reshape(-1, 3)
     lo, hi = np.minimum(mt[:, 0], mt[:, 1]), np.maximum(mt[:, 0], mt[:, 1])
 
     def pair(i: int) -> tuple[int, int]:

@@ -249,9 +249,8 @@ def tau0_general(params: TheoryParams) -> float:
 
     When c (2 kappa - 1)^2 / (2 kappa) overflows, kappa > 1/2 bisects
     g / (2 kappa) instead, whose terms stay finite: tau0 tends to 1/2 as c
-    grows and to c / (2 (c + 1)) as kappa grows. Raises ValueError if tau0
-    still comes out non-finite (c within a factor of about 2 of the
-    largest float).
+    grows and to c / (2 (c + 1)) as kappa grows; tau0 is then taken from
+    w = 1/z, which stays finite however large z is.
     """
     c, kap = params.c, params.kappa
     e = 2.0 * kap - 1.0
@@ -264,22 +263,19 @@ def tau0_general(params: TheoryParams) -> float:
     # g(past) < 0 through rounding, and an overflowing base gives tau0 =
     # kappa. For kappa > 1/2, log z <= z - 1 gives g <= -e at 2 + base / e.
     if e > 0.0 and not math.isfinite(base):
-        # e / (2 kappa) = 1 - 1 / (2 kappa), and tau = (1 - z) / (1/kappa - 2 z)
+        # g / (2 kappa), with e / (2 kappa) = 1 - 1 / (2 kappa)
         shrink = 1.0 - 0.5 / kap
         past = _bisect(lambda z: math.log(z) / (2.0 * kap) + 1.0 - z
                        + c * shrink * shrink > 0.0, 2.0 + c * shrink, 1.0)
-        tau0 = (1.0 - past) / (1.0 / kap - 2.0 * past)
+        # tau = (1/z - 1) / (1/(kappa z) - 2): finite for every finite z >= 1
+        return (1.0 / past - 1.0) / (1.0 / (kap * past) - 2.0)
+    if e < 0.0:
+        past, before = math.exp(-base - 2.0 * kap - 1.0), math.exp(-base)
     else:
-        if e < 0.0:
-            past, before = math.exp(-base - 2.0 * kap - 1.0), math.exp(-base)
-        else:
-            past, before = 2.0 + base / e, 1.0
-        past = _bisect(lambda z: math.log(z) + 2.0 * kap * (1.0 - z) + base > 0.0,
-                       past, before)
-        tau0 = kap * (1.0 - past) / (1.0 - 2.0 * past * kap)
-    if not math.isfinite(tau0):
-        raise ValueError(f"tau0 at c={c}, kappa={kap} is out of float range")
-    return tau0
+        past, before = 2.0 + base / e, 1.0
+    past = _bisect(lambda z: math.log(z) + 2.0 * kap * (1.0 - z) + base > 0.0,
+                   past, before)
+    return kap * (1.0 - past) / (1.0 - 2.0 * past * kap)
 
 
 def _bisect(positive, past: float, before: float) -> float:
@@ -287,7 +283,7 @@ def _bisect(positive, past: float, before: float) -> float:
     and true at before, to adjacent floats and return past. Halving gets
     there from any two finite floats in under 2200 steps."""
     for _ in range(2200):
-        mid = (past + before) / 2
+        mid = past + (before - past) / 2
         if mid == past or mid == before:
             break
         if positive(mid):
@@ -503,11 +499,12 @@ def _refine_modified(params: TheoryParams, step: float, coarse: float,
 
 def modified_upper_bound(c: float) -> float:
     """Ceiling on the modified-greedy matching density for any kappa:
-    (c - 1 + e^-c) / (2c - 1 + e^-c)."""
+    (c - 1 + e^-c) / (2c - 1 + e^-c), divided through by c so that neither
+    a tiny nor a huge c overflows or divides by zero."""
     if not c > 0:
         raise ValueError(f"c must be positive, got {c}")
-    e = math.exp(-c)
-    return (c - 1.0 + e) / (2.0 * c - 1.0 + e)
+    r = math.expm1(-c) / c
+    return (1.0 + r) / (2.0 + r)
 
 
 def convexity_second_differences(traj: OdeTrajectory, kappa: float,

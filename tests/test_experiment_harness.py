@@ -448,17 +448,28 @@ class TestCli:
         assert "unrecognized arguments: --stride" in capsys.readouterr().err
         assert out.read_text() == "earlier output\n"
 
-    @pytest.mark.parametrize("command", ["theory", "asymptotics"])
-    @pytest.mark.parametrize("cell", [["--c", "0"], ["--kappa", "-1"],
-                                      ["--c", "1.7e308", "--kappa", "2"]])
-    def test_cell_without_prediction_is_an_argument_error(self, tmp_path, capsys,
-                                                          command, cell):
+    @pytest.mark.parametrize("command", ["simulate", "theory", "asymptotics",
+                                         "conjecture"])
+    @pytest.mark.parametrize("flag, value", [("--c", "0"), ("--kappa", "-1"),
+                                             ("--c", "1,-0.5")])
+    def test_non_positive_grid_value_is_an_argument_error(self, tmp_path, capsys,
+                                                          command, flag, value):
+        # no prediction and no sweep accepts a c or kappa that is not positive
         out = tmp_path / "kept.csv"
         out.write_text("earlier output\n")
-        assert main([command, *cell, "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("rainbow-greedy: error: ") and err.count("\n") == 1
+        with pytest.raises(SystemExit) as exc:
+            main([command, flag, value, "--out", str(out)])
+        assert exc.value.code == 2
+        assert (f"argument {flag}: values must be finite and positive"
+                in capsys.readouterr().err)
         assert out.read_text() == "earlier output\n"
+
+    def test_theory_at_largest_c(self, capsys):
+        # the root z of the gap variable is beyond 9e307; tau0 is the
+        # c -> inf limit 1/2
+        assert main(["theory", "--c", "1.7e308", "--kappa", "2"]) == 0
+        row = capsys.readouterr().out.split("\n")[1].split(",")
+        assert row[2] == "0.5"
 
     def test_theory_at_huge_kappa(self, capsys):
         # c (2 kappa - 1)^2 / (2 kappa) overflows; tau0 is the kappa -> inf

@@ -220,6 +220,7 @@ class TestTau0General:
         (1.0, 1e200, 0.25), (1.0, 1e308, 0.25),   # kappa -> inf: c / (2 (c + 1))
         (3.0, 1e308, 0.375),
         (1e308, 2.0, 0.5),                          # c -> inf, kappa > 1/2: 1/2
+        (1.7e308, 2.0, 0.5), (1e308, 1e308, 0.5),   # root z beyond 9e307
         (1e308, 0.1, 0.1)])                         # c -> inf, kappa < 1/2: kappa
     def test_overflowing_base_gives_the_limit(self, c, kappa, want):
         # c (2 kappa - 1)^2 / (2 kappa) overflows; this used to return nan,
@@ -231,11 +232,6 @@ class TestTau0General:
         near = tau0_general(TheoryParams(2.0, 1e15))
         assert near == pytest.approx(tau0_general(TheoryParams(2.0, 1e200)), abs=1e-12)
         assert near == pytest.approx(_tau0_fixed_point(2.0, 1e15), abs=1e-12)
-
-    @pytest.mark.parametrize("c, kappa", [(1.7e308, 2.0), (1e308, 1e308)])
-    def test_root_beyond_float_range_raises(self, c, kappa):
-        with pytest.raises(ValueError, match="out of float range"):
-            tau0_general(TheoryParams(c, kappa))
 
     @pytest.mark.parametrize("c, kappa", STARVED)
     def test_color_starved_cells(self, c, kappa):
@@ -398,6 +394,13 @@ class TestUpperBound:
 
     def test_limit(self):
         assert modified_upper_bound(1e6) == pytest.approx(0.5, abs=1e-5)
+
+    @pytest.mark.parametrize("c, want", [(1e308, 0.5), (1.7e308, 0.5),
+                                         (1e-8, 5e-9), (1e-300, 0.0)])
+    def test_extreme_c(self, c, want):
+        # 2c used to overflow to a bound of 0.0, and 2c - 1 + e^-c to
+        # cancel to a division by zero; the bound is about c/2 for small c
+        assert modified_upper_bound(c) == pytest.approx(want, abs=1e-15)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
