@@ -6,7 +6,7 @@ regime-specific root brackets for the stopping time, and a Monte Carlo
 harness that cross-checks simulation against all of the above.
 """
 
-from .colored_graph import ColoredGraph, generate, dump_graph, load_graph
+from .colored_graph import ColoredGraph, generate
 from .greedy_engines import (
     MatchingResult,
     VerifyReport,

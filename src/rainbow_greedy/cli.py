@@ -4,17 +4,21 @@ Five subcommands: simulate (Monte Carlo sweep), theory (ODE point
 predictions), table (reference-table reproduction), asymptotics (regime
 brackets vs the exact root), conjecture (greedy vs modified comparison).
 Each writes one table, as CSV or JSON (--format), through
-experiment_harness.to_csv / to_json, to stdout or --out; human-readable
-notes go to stderr. simulate, theory and table take --step; asymptotics
-and conjecture report no ODE value and reject it. Exit codes: 0 success,
-1 a --check (the command validating its own output) failed, 2 an
-argument error, raised before --out is opened; that includes a --c or
---kappa value that is not finite and positive.
+experiment_harness.to_csv / to_json, to stdout or --out; no other module
+writes output. A CSV line is written and flushed as each row is ready,
+so simulate streams one line per finished cell; if a cell fails, the
+rows before it stay written, as CSV lines or as a JSON array.
+Human-readable notes go to stderr. simulate, theory and table take
+--step; asymptotics and conjecture report no ODE value and reject it.
+Exit codes: 0 success, 1 a --check (the command validating its own
+output) failed, 2 an argument error, raised before --out is opened; that
+includes a --c or --kappa value that is not finite and positive.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 from dataclasses import asdict
@@ -34,6 +38,7 @@ from .experiment_harness import (
     asymptotics_report,
     to_csv,
     to_json,
+    _csv_line,
 )
 from .ode_theory import _validate_step, modified_upper_bound
 
@@ -59,14 +64,31 @@ def _step(text: str) -> float:
     return step
 
 
-def _emit(rows: list[dict], columns, args) -> None:
-    """Write the rows as --format to --out, or to stdout."""
-    text = to_csv(rows, columns) if args.format == "csv" else to_json(rows)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+@contextlib.contextmanager
+def _table(columns, args):
+    """Yield write(rows), which adds a list of row dicts to the table that
+    goes as --format to --out, or to stdout. CSV: the header, then each
+    row's line, is written and flushed as it comes. JSON: the array of
+    every row added is written when the block ends, also when it raises."""
+    out = open(args.out, "w") if args.out else sys.stdout
+    added = []
+
+    def write(rows: list[dict]) -> None:
+        added.extend(rows)
+        if args.format == "csv":
+            out.write("".join(_csv_line(r, columns) for r in rows))
+            out.flush()
+
+    try:
+        if args.format == "csv":
+            out.write(to_csv([], columns))
+            out.flush()
+        yield write
+    finally:
+        if args.format == "json":
+            out.write(to_json(added))
+        if args.out:
+            out.close()
 
 
 def _note(msg: str) -> None:
@@ -149,10 +171,9 @@ def _cmd_simulate(args) -> int:
     cfg = _sweep_config(
         c_values=args.c, kappa_values=args.kappa, n_values=args.n,
         algorithms=algos, reps=args.reps, master_seed=args.seed,
-        ode_step=args.step, output_path=args.out, output_format=args.format)
-    rows, _ = run_monte_carlo(cfg)
-    if not args.out:   # run_monte_carlo has written --out itself
-        _emit([asdict(r) for r in rows], AGGREGATE_COLUMNS, args)
+        ode_step=args.step)
+    with _table(AGGREGATE_COLUMNS, args) as write:
+        rows, _ = run_monte_carlo(cfg, on_row=lambda row: write([asdict(row)]))
     if any(r.algorithm == "greedy" and r.kappa == 0.5 for r in rows):
         _note(greedy_convention_statement(rows))
     if not args.check:
@@ -177,7 +198,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_theory(args) -> int:
     rows = theory_report(args.c, args.kappa, step=args.step)
-    _emit(rows, THEORY_COLUMNS, args)
+    with _table(THEORY_COLUMNS, args) as write:
+        write(rows)
     if not args.check:
         return 0
     bad = [r for r in rows
@@ -192,7 +214,8 @@ def _cmd_theory(args) -> int:
 
 def _cmd_table(args) -> int:
     tc = reproduce_reference_table(step=args.step)
-    _emit(tc.rows, TABLE_COLUMNS, args)
+    with _table(TABLE_COLUMNS, args) as write:
+        write(tc.rows)
     _note(f"greedy column matches the {tc.greedy_convention} closed form")
     for (c, d) in tc.modified_outliers:
         _note(f"note: modified column at c={c} is off by {d:+.4f} from the "
@@ -212,7 +235,8 @@ def _cmd_table(args) -> int:
 
 def _cmd_asymptotics(args) -> int:
     rows = asymptotics_report(args.c, args.kappa)
-    _emit(rows, ASYMPTOTICS_COLUMNS, args)
+    with _table(ASYMPTOTICS_COLUMNS, args) as write:
+        write(rows)
     if not rows:
         _note("note: no asymptotic regime accepts any of the given (c, kappa)")
     if not args.check:
@@ -231,7 +255,8 @@ def _cmd_conjecture(args) -> int:
         algorithms=("greedy", "modified"), reps=args.reps,
         master_seed=args.seed)
     report = check_conjecture(cfg)
-    _emit([asdict(r) for r in report.rows], CONJECTURE_COLUMNS, args)
+    with _table(CONJECTURE_COLUMNS, args) as write:
+        write([asdict(r) for r in report.rows])
     for v in report.violations:
         _note(f"violation at (c={v.c}, kappa={v.kappa}, n={v.n}): greedy "
               f"{v.mean_greedy:.4f} beats modified {v.mean_modified:.4f} "

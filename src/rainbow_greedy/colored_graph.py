@@ -5,6 +5,8 @@ A ColoredGraph is one instance: n vertices, q colors and m edges
 be run any number of times.
 
 Vertices are 0-based ids, colors are 1-based, edge ids index ColoredGraph.edges.
+A graph lives in memory only: generate draws it from a seed, which is
+all it takes to draw it again.
 """
 
 from __future__ import annotations
@@ -80,30 +82,3 @@ def generate(n: int, m: int, q: int, seed: int) -> ColoredGraph:
     u, v = _pair_from_index(rng.choice(max_m, m, replace=False))
     color = rng.integers(1, q + 1, size=m) if m else np.zeros(0, np.int64)
     return ColoredGraph(n, q, np.stack([u, v, color], axis=1), seed=seed)
-
-
-def dump_graph(g: ColoredGraph) -> str:
-    """Serialize the instance: 'n m q' then one 'u v color' per edge."""
-    lines = [f"{g.n_initial} {g.m_initial} {g.q_total}"]
-    lines.extend(f"{u} {v} {c}" for (u, v, c) in g.edges.tolist())
-    return "\n".join(lines) + "\n"
-
-
-def load_graph(text: str) -> ColoredGraph:
-    """Inverse of dump_graph."""
-    lines = text.strip("\n").split("\n")
-    head = lines[0].split()
-    if len(head) != 3:
-        raise ValueError("header must be 'n m q'")
-    n, m, q = (int(x) for x in head)
-    if len(lines) - 1 != m:
-        raise ValueError(f"header says m={m} but {len(lines) - 1} edge lines follow")
-    edges = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        try:
-            u, v, c = (int(x) for x in line.split())
-        except ValueError:
-            raise ValueError(f"line {lineno} {line!r}: expected 'u v color', "
-                             f"three integers") from None
-        edges.append((u, v, c))
-    return ColoredGraph(n, q, edges, seed=None)

@@ -5,6 +5,10 @@ independent simulations. Seeds are derived per (cell, rep) with rng.mix, so
 results are reproducible bit for bit from the master seed alone, cells can
 be reordered without changing any draw, and reps never share streams.
 
+This module opens no file. Every function returns its rows; to_csv and
+to_json format them, and the command line writes them (run_monte_carlo
+hands each cell's row to an optional callback as the cell finishes).
+
 Reported densities use the m = round(c n / 2) convention, i.e. c is the
 average initial degree. The tabulated reference values' greedy column
 follows the m = c n / 4 convention instead; reproduce_reference_table
@@ -17,7 +21,7 @@ import functools
 import json
 import math
 import time
-from dataclasses import dataclass, asdict, field
+from dataclasses import dataclass, field
 from statistics import fmean, stdev
 
 from .colored_graph import generate
@@ -80,8 +84,6 @@ class ExperimentConfig:
     reps: int = 20
     master_seed: int = 20250819
     ode_step: float | None = None   # None: each integrator's own default
-    output_path: str | None = None
-    output_format: str = "csv"
 
     def __post_init__(self):
         if self.reps < 1:
@@ -99,15 +101,16 @@ class ExperimentConfig:
             _validate_step(self.ode_step)
         for n in self.n_values:
             for k in self.kappa_values:
+                if not k * n < math.inf:
+                    raise ValueError(f"kappa={k} gives q = kappa n beyond "
+                                     f"float range at n={n}")
                 if round(k * n) < 1:
                     raise ValueError(f"kappa={k} gives q = round(kappa n) = 0 "
                                      f"colors at n={n}")
             for c in self.c_values:
-                if round(c * n / 2) > n * (n - 1) // 2:
+                if not c * n / 2 < math.inf or round(c * n / 2) > n * (n - 1) // 2:
                     raise ValueError(f"c={c} asks for more edges than the "
                                      f"{n * (n - 1) // 2} pairs of n={n} vertices")
-        if self.output_format not in ("csv", "json"):
-            raise ValueError("output_format must be csv or json")
 
     def cells(self) -> list[tuple[float, float, int, str]]:
         return [(c, k, n, a)
@@ -161,62 +164,49 @@ def theory_mu_over_n(c: float, kappa: float, algorithm: str,
         return math.nan
 
 
-def run_monte_carlo(cfg: ExperimentConfig
+def run_monte_carlo(cfg: ExperimentConfig, on_row=None
                     ) -> tuple[list[AggregateRow], list[RunRecord]]:
     """Run the full sweep; returns (aggregate rows, per-rep records).
 
-    When cfg.output_path is set, rows are flushed to it as they complete
-    (CSV row per cell; for JSON the partial array is dumped on interrupt),
-    so long sweeps that die keep what they finished.
+    Writes nothing. When on_row is given, it is called with each cell's
+    aggregate row as the cell finishes, so a caller can write rows while
+    the sweep runs and keep them if a later cell fails.
     """
     rows: list[AggregateRow] = []
     records: list[RunRecord] = []
-    sink = None
-    if cfg.output_path and cfg.output_format == "csv":
-        sink = open(cfg.output_path, "w")
-        sink.write(to_csv([], AGGREGATE_COLUMNS))
-        sink.flush()
-    try:
-        for cell_index, (c, kappa, n, algo) in enumerate(cfg.cells()):
-            theory = theory_mu_over_n(c, kappa, algo, cfg.ode_step)
-            m = round(c * n / 2)
-            q = round(kappa * n)
-            runner = run_greedy if algo == "greedy" else run_modified_greedy
-            mus = []
-            cell_time = 0.0
-            for rep in range(cfg.reps):
-                graph_seed = mix(cfg.master_seed, cell_index, rep, 0)
-                run_seed = mix(cfg.master_seed, cell_index, rep, 1)
-                tic = time.perf_counter()
-                g = generate(n, m, q, graph_seed)
-                result = runner(g, run_seed)
-                elapsed = time.perf_counter() - tic
-                cell_time += elapsed
-                mu_over_n = result.mu / n
-                mus.append(mu_over_n)
-                records.append(RunRecord(
-                    c=c, kappa=kappa, n=n, algorithm=algo, rep=rep,
-                    graph_seed=graph_seed, run_seed=run_seed, mu=result.mu,
-                    mu_over_n=mu_over_n, steps_total=result.steps_total,
-                    isolated_deletions=result.isolated_deletions,
-                    runtime_seconds=elapsed))
-            mean = fmean(mus)
-            se = stdev(mus) / math.sqrt(cfg.reps) if cfg.reps > 1 else 0.0
-            dev = abs(mean - theory) if not math.isnan(theory) else math.nan
-            row = AggregateRow(c=c, kappa=kappa, n=n, algorithm=algo,
-                               reps=cfg.reps, mean_mu_over_n=mean, stderr=se,
-                               theory_mu_over_n=theory, abs_deviation=dev,
-                               runtime_seconds=cell_time)
-            rows.append(row)
-            if sink is not None:
-                sink.write(_csv_line(asdict(row), AGGREGATE_COLUMNS))
-                sink.flush()
-    finally:
-        if sink is not None:
-            sink.close()
-        if cfg.output_path and cfg.output_format == "json":
-            with open(cfg.output_path, "w") as fh:
-                fh.write(to_json([asdict(r) for r in rows]))
+    for cell_index, (c, kappa, n, algo) in enumerate(cfg.cells()):
+        theory = theory_mu_over_n(c, kappa, algo, cfg.ode_step)
+        m = round(c * n / 2)
+        q = round(kappa * n)
+        runner = run_greedy if algo == "greedy" else run_modified_greedy
+        mus = []
+        cell_time = 0.0
+        for rep in range(cfg.reps):
+            graph_seed = mix(cfg.master_seed, cell_index, rep, 0)
+            run_seed = mix(cfg.master_seed, cell_index, rep, 1)
+            tic = time.perf_counter()
+            g = generate(n, m, q, graph_seed)
+            result = runner(g, run_seed)
+            elapsed = time.perf_counter() - tic
+            cell_time += elapsed
+            mu_over_n = result.mu / n
+            mus.append(mu_over_n)
+            records.append(RunRecord(
+                c=c, kappa=kappa, n=n, algorithm=algo, rep=rep,
+                graph_seed=graph_seed, run_seed=run_seed, mu=result.mu,
+                mu_over_n=mu_over_n, steps_total=result.steps_total,
+                isolated_deletions=result.isolated_deletions,
+                runtime_seconds=elapsed))
+        mean = fmean(mus)
+        se = stdev(mus) / math.sqrt(cfg.reps) if cfg.reps > 1 else 0.0
+        dev = abs(mean - theory) if not math.isnan(theory) else math.nan
+        row = AggregateRow(c=c, kappa=kappa, n=n, algorithm=algo,
+                           reps=cfg.reps, mean_mu_over_n=mean, stderr=se,
+                           theory_mu_over_n=theory, abs_deviation=dev,
+                           runtime_seconds=cell_time)
+        rows.append(row)
+        if on_row is not None:
+            on_row(row)
     return rows, records
 
 
@@ -395,7 +385,7 @@ def theory_report(c_values, kappa_values,
             try:
                 traj = integrate_modified(p, step=step)
                 tau0_mod, mu_mod = traj.tau0, traj.mu_over_n
-            except (IntegrationFailure, OverflowError):   # too stiff to step
+            except IntegrationFailure:   # too stiff to step
                 tau0_mod = mu_mod = None
             out.append({"c": c, "kappa": kappa, "tau0_greedy": tau0,
                         "tau0_greedy_numeric": tau0_numeric,

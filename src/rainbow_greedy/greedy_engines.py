@@ -17,6 +17,10 @@ the first free edge of the rest. _first_fit runs a scan in rounds of
 O(m) numpy work; uniform orders need few rounds, an adversarial one (a
 path scanned end to end) about m/2. The README has the details.
 
+Each engine takes an integer run seed; np.random.default_rng(run_seed)
+makes every draw, so the graph and the seed fix the result, and the
+result echoes the seed.
+
 A result holds the matching as a (mu, 3) int64 array of (u, v, color)
 rows in the order they were matched, and the trajectory as a
 (steps_total + 1, 4) int64 array with one row (t, nu, mu_edges,
@@ -26,7 +30,6 @@ alive edges, unconsumed colors. A caller that wants fewer rows slices it.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,7 +44,7 @@ class MatchingResult:
     m: int
     q: int
     graph_seed: int | None
-    run_seed: int | None
+    run_seed: int
     matching: np.ndarray      # (mu, 3) int64 rows (u, v, color)
     mu: int
     steps_total: int
@@ -55,13 +58,7 @@ class VerifyReport:
     failure: str | None = None
 
 
-def _resolve_rng(rng: random.Random | int) -> tuple[np.random.Generator, int | None]:
-    if isinstance(rng, random.Random):
-        return np.random.default_rng(rng.getrandbits(128)), None
-    return np.random.default_rng(rng), rng
-
-
-def _result(algorithm: str, g: ColoredGraph, run_seed: int | None,
+def _result(algorithm: str, g: ColoredGraph, run_seed: int,
             taken: np.ndarray, taken_step: np.ndarray,
             processed: np.ndarray | list[int]) -> MatchingResult:
     """Assemble a result from the matched edge ids, the step that matched
@@ -115,9 +112,9 @@ def _first_fit(edges: np.ndarray, n: int, q: int) -> np.ndarray:
     return np.flatnonzero(taken)
 
 
-def run_greedy(g: ColoredGraph, rng: random.Random | int) -> MatchingResult:
+def run_greedy(g: ColoredGraph, run_seed: int) -> MatchingResult:
     """Match a uniform remaining edge per step until no edges remain."""
-    gen, run_seed = _resolve_rng(rng)
+    gen = np.random.default_rng(run_seed)
     e = g.edges
     order = gen.permutation(len(e))
     taken = order[_first_fit(e.take(order, axis=0), g.n_initial, g.q_total)]
@@ -125,14 +122,14 @@ def run_greedy(g: ColoredGraph, rng: random.Random | int) -> MatchingResult:
                    np.arange(1, len(taken) + 1), [])
 
 
-def run_modified_greedy(g: ColoredGraph, rng: random.Random | int) -> MatchingResult:
+def run_modified_greedy(g: ColoredGraph, run_seed: int) -> MatchingResult:
     """Match from a uniform remaining vertex per step while edges remain.
 
     A vertex with no remaining edge is deleted and counts as a step.
     Otherwise it is matched along a uniform remaining incident edge, and
     both endpoints and the color class are deleted.
     """
-    gen, run_seed = _resolve_rng(rng)
+    gen = np.random.default_rng(run_seed)
     n, e = g.n_initial, g.edges
     # edges by their earlier endpoint's turn, then by tie: the place in its list
     tie = gen.permutation(2 * len(e)).reshape(-1, 2)

@@ -316,7 +316,8 @@ def integrate_modified(params: TheoryParams,
     the taus are the same.
 
     Raises IntegrationFailure if N has no zero by tau = 1.2 (the step is
-    too coarse for the stiffness c/kappa), if the trajectory drifts from
+    too coarse for the stiffness c/kappa), if e^-lambda overflows in an RK4
+    stage (likewise too coarse), if the trajectory drifts from
     the equivalent integral form N = 1 - 2 tau + integral of e^-lambda by
     more than 10 * step, or if tau0 leaves [1/2, 1].
     """
@@ -336,28 +337,32 @@ def integrate_modified(params: TheoryParams,
     vals = [1.0]
     append = vals.append
     tau, nv = 0.0, 1.0
-    while tau <= 1.2:   # N' <= -1 forces a zero by tau = 1
-        mid, end = tau + half, tau + coarse
-        k1 = exp(neg * nv * (nv + tau + kap - 1.0)) - 2.0
-        y = nv + half * k1
-        k2 = exp(neg * y * (y + mid + kap - 1.0)) - 2.0
-        y = nv + half * k2
-        k3 = exp(neg * y * (y + mid + kap - 1.0)) - 2.0
-        y = nv + coarse * k3
-        k4 = exp(neg * y * (y + end + kap - 1.0)) - 2.0
-        nxt = nv + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if nxt <= 0.0:
-            break
-        tau, nv = end, nxt
-        append(nv)
+    try:
+        while tau <= 1.2:   # N' <= -1 forces a zero by tau = 1
+            mid, end = tau + half, tau + coarse
+            k1 = exp(neg * nv * (nv + tau + kap - 1.0)) - 2.0
+            y = nv + half * k1
+            k2 = exp(neg * y * (y + mid + kap - 1.0)) - 2.0
+            y = nv + half * k2
+            k3 = exp(neg * y * (y + mid + kap - 1.0)) - 2.0
+            y = nv + coarse * k3
+            k4 = exp(neg * y * (y + end + kap - 1.0)) - 2.0
+            nxt = nv + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if nxt <= 0.0:
+                break
+            tau, nv = end, nxt
+            append(nv)
 
-    if tau > 1.2:
-        raise IntegrationFailure(f"runaway integration for params {params}")
+        if tau > 1.2:
+            raise IntegrationFailure(f"runaway integration for params {params}")
 
-    if step < coarse:
-        vals, tau, nv, nxt = _refine_modified(
-            params, step, coarse, vals, *_last_step_zero(rhs, tau, nv, coarse, nxt))
-    tau0, n0 = _last_step_zero(rhs, tau, nv, step, nxt)
+        if step < coarse:
+            vals, tau, nv, nxt = _refine_modified(
+                params, step, coarse, vals, *_last_step_zero(rhs, tau, nv, coarse, nxt))
+        tau0, n0 = _last_step_zero(rhs, tau, nv, step, nxt)
+    except OverflowError:   # math.exp of a stage's -lambda
+        raise IntegrationFailure(f"e^-lambda overflows in an RK4 stage for "
+                                 f"params {params}") from None
     t_arr = np.append(_grid(0.0, len(vals) - 1, step), tau0)
     n_arr = np.append(vals, n0)
     g = np.exp(-ratio * n_arr * (n_arr + t_arr + kap - 1.0))

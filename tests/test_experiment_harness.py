@@ -4,10 +4,12 @@ import os
 import subprocess
 import sys
 from dataclasses import asdict
+from types import SimpleNamespace
 
 import pytest
 
 import rainbow_greedy
+from rainbow_greedy import experiment_harness
 from rainbow_greedy.cli import main
 from rainbow_greedy.experiment_harness import (
     AGGREGATE_COLUMNS,
@@ -154,18 +156,6 @@ class TestMonteCarlo:
         assert len(lines) == 1 + len(rows)
         first = lines[1].split(",")
         assert first[0] == "1.0" and first[3] == "greedy" and first[4] == "3"
-
-    def test_incremental_csv_flush(self, tmp_path):
-        out = tmp_path / "sweep.csv"
-        cfg = small_cfg(output_path=str(out))
-        rows, _ = run_monte_carlo(cfg)
-        assert out.read_text() == sweep_csv(rows)
-
-    def test_json_output_file(self, tmp_path):
-        out = tmp_path / "sweep.json"
-        cfg = small_cfg(output_path=str(out), output_format="json")
-        rows, _ = run_monte_carlo(cfg)
-        assert json.loads(out.read_text()) == json.loads(sweep_json(rows))
 
     def test_nan_theory_becomes_null_in_json(self):
         # no modified prediction at (c=100, kappa=0.01): step 1e-2 is far
@@ -343,6 +333,48 @@ class TestCli:
         assert out.read_text().startswith(",".join(AGGREGATE_COLUMNS))
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_simulate_stdout_is_the_out_file(self, tmp_path, capsys,
+                                             monkeypatch, fmt):
+        # one writer for both; the frozen clock makes runtime_seconds equal
+        monkeypatch.setattr(experiment_harness, "time",
+                            SimpleNamespace(perf_counter=lambda: 0.0))
+        argv = ["simulate", "--c", "1,3", "--kappa", "0.5", "--n", "500",
+                "--reps", "2", "--step", "1e-4", "--format", fmt]
+        assert main(argv) == 0
+        stdout = capsys.readouterr().out
+        out = tmp_path / "rows"
+        assert main([*argv, "--out", str(out)]) == 0
+        assert out.read_bytes() == stdout.encode()
+        assert stdout.count("greedy") == 2 and stdout.count("modified") == 2
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_failed_cell_keeps_the_rows_before_it(self, tmp_path, monkeypatch,
+                                                  fmt):
+        # the second cell (modified) fails; the first (greedy) is written,
+        # and as a CSV line it is in the file before the second cell runs
+        out = tmp_path / "rows"
+        seen = []
+
+        def fail(g, run_seed):
+            seen.append(out.read_text())
+            raise RuntimeError("engine failed")
+
+        monkeypatch.setattr(experiment_harness, "run_modified_greedy", fail)
+        with pytest.raises(RuntimeError, match="engine failed"):
+            main(["simulate", "--c", "1", "--kappa", "0.5", "--n", "500",
+                  "--reps", "2", "--step", "1e-4", "--format", fmt,
+                  "--out", str(out)])
+        if fmt == "csv":
+            header, row = seen[0].splitlines()
+            assert header == ",".join(AGGREGATE_COLUMNS)
+            assert row.startswith("1.0,0.5,500,greedy,2,")
+            assert out.read_text() == seen[0]
+        else:
+            assert seen == [""]
+            (row,) = json.loads(out.read_text())
+            assert row["algorithm"] == "greedy" and row["reps"] == 2
+
     def test_theory_check_passes(self, capsys):
         rc = main(["theory", "--c", "1,4", "--kappa", "0.5", "--step", "1e-4",
                    "--check"])
@@ -382,7 +414,8 @@ class TestCli:
 
     @pytest.mark.parametrize("command", ["simulate", "conjecture"])
     @pytest.mark.parametrize("bad", [["--n", "0"], ["--n", "99"],
-                                     ["--reps", "0"], ["--kappa", "0.001"]])
+                                     ["--reps", "0"], ["--kappa", "0.001"],
+                                     ["--kappa", "1e308"], ["--c", "1e308"]])
     def test_bad_sweep_value_is_an_argument_error(self, tmp_path, capsys,
                                                   command, bad):
         out = tmp_path / "kept.csv"
@@ -495,8 +528,17 @@ class TestCli:
                       "2000", "--reps", "2", "--step", "1e-2", "--algo",
                       "modified"],
                      ["theory_mu_over_n", "abs_deviation"], id="simulate"),
+        pytest.param(["simulate", "--c", "1000", "--kappa", "0.001", "--n",
+                      "2000", "--reps", "1", "--step", "1e-3", "--algo",
+                      "modified"],
+                     ["theory_mu_over_n", "abs_deviation"],
+                     id="simulate-overflow"),
         pytest.param(["theory", "--c", "6", "--kappa", "0.075"],
                      ["tau0_greedy_numeric"], id="theory"),
+        pytest.param(["theory", "--c", "1000", "--kappa", "0.001", "--step",
+                      "1e-3"],
+                     ["tau0_greedy_numeric", "tau0_modified", "mu_modified"],
+                     id="theory-overflow"),
         pytest.param(["table", "--step", "1e-3"], [], id="table"),
         pytest.param(["asymptotics"], [], id="asymptotics"),
         pytest.param(["conjecture", "--c", "1", "--kappa", "0.5", "--n", "500",
@@ -504,7 +546,8 @@ class TestCli:
     ])
     def test_json_rows_have_the_csv_columns(self, capsys, argv, nulls):
         # the nulls are the values no prediction gives: at step 1e-2 the
-        # modified ODE runs away at c/kappa = 10^4, and at (6, 0.075) the
+        # modified ODE runs away at c/kappa = 10^4, at step 1e-3 its
+        # e^-lambda overflows at c/kappa = 10^6, and at (6, 0.075) the
         # greedy root lies within one step of kappa
         assert main(argv) == 0
         header = capsys.readouterr().out.split("\n")[0].split(",")

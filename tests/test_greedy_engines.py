@@ -72,13 +72,6 @@ class TestGreedy:
         assert as_lists(run_greedy(g, 5)) == as_lists(run_greedy(g, 5))
         assert np.array_equal(g.edges, fresh().edges)
 
-    def test_accepts_random_instance(self):
-        g = fresh()
-        a = run_greedy(g, random.Random(5))
-        assert as_lists(a) == as_lists(run_greedy(g, random.Random(5)))
-        assert a.run_seed is None
-        assert verify_result(g, a).ok
-
     def test_determinism(self):
         a = run_greedy(fresh(), 99)
         b = run_greedy(fresh(), 99)
@@ -280,18 +273,10 @@ class Replay:
             trajectory=np.array(self.rows, dtype=np.int64))
 
 
-def reference_setup(g, rng):
-    if isinstance(rng, random.Random):
-        gen, run_seed = np.random.default_rng(rng.getrandbits(128)), None
-    else:
-        gen, run_seed = np.random.default_rng(rng), rng
-    return gen, run_seed, Replay(g)
-
-
-def reference_greedy(g, rng):
+def reference_greedy(g, run_seed):
     """The sequential scan: a uniform edge permutation, taking each edge
     whose endpoints and color are still free."""
-    gen, run_seed, replay = reference_setup(g, rng)
+    gen, replay = np.random.default_rng(run_seed), Replay(g)
     e = g.edges
     order = gen.permutation(len(e))
     for eid, u, v, c in zip(order.tolist(), *e[order].T.tolist()):
@@ -300,11 +285,11 @@ def reference_greedy(g, rng):
     return replay.result("greedy", g, run_seed)
 
 
-def reference_modified(g, rng):
+def reference_modified(g, run_seed):
     """The sequential vertex scan: incidence lists shuffled once, then a
     uniform vertex permutation; a live vertex takes the first live edge of
     its list or is deleted as isolated, while edges remain."""
-    gen, run_seed, replay = reference_setup(g, rng)
+    gen, replay = np.random.default_rng(run_seed), Replay(g)
     n, e = g.n_initial, g.edges
     ends = e[:, :2].ravel()
     half = np.argsort(ends * len(ends) + gen.permutation(len(ends)))
@@ -330,13 +315,10 @@ def reference_modified(g, rng):
 ENGINES = [(run_greedy, reference_greedy), (run_modified_greedy, reference_modified)]
 
 
-def assert_same_as_reference(g, seed, as_random=False):
-    def rng():
-        return random.Random(seed) if as_random else seed
-
+def assert_same_as_reference(g, seed):
     for engine, reference in ENGINES:
-        got = engine(g, rng())
-        want = reference(g, rng())
+        got = engine(g, seed)
+        want = reference(g, seed)
         assert as_lists(got) == as_lists(want), (engine.__name__, g.n_initial,
                                                  g.m_initial, seed)
         assert got.matching.dtype == got.trajectory.dtype == np.int64
@@ -366,9 +348,9 @@ class TestSameAsSequentialScan:
         for seed in range(5):
             assert_same_as_reference(generate(60, 120, 1, seed=seed), seed)
 
-    def test_random_instance_input(self):
+    def test_128_bit_seed(self):
         g = generate(300, 600, 150, seed=2)
-        assert_same_as_reference(g, 9, as_random=True)
+        assert_same_as_reference(g, random.Random(9).getrandbits(128))
 
     def test_large_instance(self):
         assert_same_as_reference(generate(100_000, 250_000, 50_000, seed=5), 3)
