@@ -30,7 +30,6 @@ from .ode_theory import (
 from .asymptotics import (
     Bracket,
     RegimeError,
-    RegimePrediction,
     near_half_alpha,
     near_half_alpha_series,
     tau0_near_half,
@@ -38,7 +37,6 @@ from .asymptotics import (
     tau0_small_kappa_bounds,
     epsilon_kappa,
     large_kappa_leading_estimate,
-    predict_greedy_tau0,
 )
 from .experiment_harness import (
     ExperimentConfig,

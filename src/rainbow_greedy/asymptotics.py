@@ -15,8 +15,9 @@ that turns the stopping condition into a perturbed fixed-point equation:
   itself, squeezed between kappa (1 - e^{-(c/(2 kappa) - 2c)}) and
   kappa (1 - e^{-c/(2 kappa)}).
 
-Each constructor raises RegimeError outside its validity gate; the
-dispatcher predict_greedy_tau0 is total and falls back to the numeric root.
+Each constructor raises RegimeError outside its validity gate.
+experiment_harness.asymptotics_report checks each bracket that accepts a
+(c, kappa) against the exact root ode_theory.tau0_general.
 """
 
 from __future__ import annotations
@@ -24,13 +25,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .ode_theory import TheoryParams, tau0_closed_half, tau0_general
+from .ode_theory import TheoryParams
 
 # tau0_large_kappa admits c slightly below the nominal threshold
 # large_kappa_threshold(kappa): the threshold guarantees the bracket
 # endpoints analytically, but containment degrades gracefully rather than
 # abruptly just below it (verified against the exact root), and useful
-# parameter points sit in that margin. The dispatcher stays strict.
+# parameter points sit in that margin.
 LARGE_KAPPA_GATE_SLACK = 0.9
 
 
@@ -59,17 +60,6 @@ class Bracket:
     @property
     def width(self) -> float:
         return self.upper - self.lower
-
-
-@dataclass(frozen=True)
-class RegimePrediction:
-    """Dispatcher output: which regime fired and its tau0 prediction."""
-    case: str
-    tau0: float
-    mu_over_n: float
-    bracket: Bracket | None = None
-    epsilon_correction: float | None = None
-    leading_estimate: float | None = None
 
 
 def near_half_alpha(params: TheoryParams) -> float:
@@ -204,38 +194,3 @@ def large_kappa_leading_estimate(params: TheoryParams) -> float:
     it (the bracket's own estimate is)."""
     c = params.c
     return 0.5 * (1.0 - 1.0 / (c + 1.0 + epsilon_kappa(params)))
-
-
-def predict_greedy_tau0(params: TheoryParams) -> RegimePrediction:
-    """Route (c, kappa) to the sharpest applicable prediction for tau0.
-
-    Order: exact half-density closed form, then the near-half bracket, then
-    small-kappa, then large-kappa (strict nominal degree threshold here,
-    no slack), and finally the numeric root of the closed form, which is
-    always available. The point prediction is the bracket estimate when a
-    bracket fired.
-    """
-    c, kap = params.c, params.kappa
-    if abs(2.0 * kap - 1.0) < 1e-12:
-        t = tau0_closed_half(c)
-        return RegimePrediction(case="closed-half", tau0=t, mu_over_n=t)
-    try:
-        b = tau0_near_half(params)
-        return RegimePrediction(case="near-half", tau0=b.estimate,
-                                mu_over_n=b.estimate, bracket=b)
-    except RegimeError:
-        pass
-    try:
-        b = tau0_small_kappa_bounds(params)
-        return RegimePrediction(case="small-kappa", tau0=b.estimate,
-                                mu_over_n=b.estimate, bracket=b)
-    except RegimeError:
-        pass
-    if kap >= 1.0 and c >= large_kappa_threshold(kap):
-        b = tau0_large_kappa(params)
-        return RegimePrediction(case="large-kappa", tau0=b.estimate,
-                                mu_over_n=b.estimate, bracket=b,
-                                epsilon_correction=epsilon_kappa(params),
-                                leading_estimate=large_kappa_leading_estimate(params))
-    t = tau0_general(params)
-    return RegimePrediction(case="numeric-root", tau0=t, mu_over_n=t)

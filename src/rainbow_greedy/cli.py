@@ -254,7 +254,8 @@ def _cmd_conjecture(args) -> int:
         c_values=args.c, kappa_values=args.kappa, n_values=args.n,
         algorithms=("greedy", "modified"), reps=args.reps,
         master_seed=args.seed)
-    report = check_conjecture(cfg)
+    rows, _ = run_monte_carlo(cfg)
+    report = check_conjecture(rows)
     with _table(CONJECTURE_COLUMNS, args) as write:
         write([asdict(r) for r in report.rows])
     for v in report.violations:

@@ -22,10 +22,13 @@ makes every draw, so the graph and the seed fix the result, and the
 result echoes the seed.
 
 A result holds the matching as a (mu, 3) int64 array of (u, v, color)
-rows in the order they were matched, and the trajectory as a
-(steps_total + 1, 4) int64 array with one row (t, nu, mu_edges,
-q_remaining) per step t = 0..steps_total: step count, alive vertices,
-alive edges, unconsumed colors. A caller that wants fewer rows slices it.
+rows in the order they were matched, and the graph edge ids of those
+rows as a (mu,) int64 array: matching == g.edges[edge_ids]. verify_result
+takes the ids as the proof that each row is an edge of the graph. The
+trajectory is a (steps_total + 1, 4) int64 array with one row
+(t, nu, mu_edges, q_remaining) per step t = 0..steps_total: step count,
+alive vertices, alive edges, unconsumed colors. A caller that wants
+fewer rows slices it.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ class MatchingResult:
     graph_seed: int | None
     run_seed: int
     matching: np.ndarray      # (mu, 3) int64 rows (u, v, color)
+    edge_ids: np.ndarray      # (mu,) int64, matching == graph.edges[edge_ids]
     mu: int
     steps_total: int
     isolated_deletions: int
@@ -84,7 +88,7 @@ def _result(algorithm: str, g: ColoredGraph, run_seed: int,
 
     return MatchingResult(
         algorithm=algorithm, n=n, m=len(e), q=q, graph_seed=g.seed,
-        run_seed=run_seed, matching=e[taken], mu=len(taken),
+        run_seed=run_seed, matching=e[taken], edge_ids=taken, mu=len(taken),
         steps_total=t_end, isolated_deletions=t_end - len(taken),
         trajectory=np.stack([np.arange(t_end + 1), alive(n, vertex_step),
                              alive(len(e), death), alive(q, taken_step)], axis=1),
@@ -151,50 +155,43 @@ def run_modified_greedy(g: ColoredGraph, run_seed: int) -> MatchingResult:
 def verify_result(g0: ColoredGraph, result: MatchingResult) -> VerifyReport:
     """Check a result against the original graph it was produced from.
 
-    Confirms every matched edge exists with its claimed color, endpoints
-    are pairwise disjoint, colors are pairwise distinct, the matching is
-    maximal (no edge has both endpoints unmatched and an unused color), and
-    the counters are mutually consistent. Reports the first violation of
-    the first failing check.
+    The edge ids are the certificate that the matching is in the graph:
+    each must be in range, and each matched row must equal the graph edge
+    its id names. On those rows it confirms that endpoints are pairwise
+    disjoint (a repeated id repeats its vertices), colors are pairwise
+    distinct, the matching is maximal (no edge has both endpoints
+    unmatched and an unused color), and the counters are mutually
+    consistent. Reports the first failing check.
     """
-    if result.mu != len(result.matching):
-        return VerifyReport(False, f"mu={result.mu} but matching has "
-                                   f"{len(result.matching)} edges")
+    mt, ids = np.asarray(result.matching), np.asarray(result.edge_ids)
+    if (mt.shape != (result.mu, 3) or ids.shape != (result.mu,)
+            or ids.dtype.kind not in "iu"):
+        return VerifyReport(False, f"malformed result: mu={result.mu}, matching "
+                                   f"shape {mt.shape}, edge_ids shape {ids.shape} "
+                                   f"dtype {ids.dtype}")
     if result.steps_total != result.isolated_deletions + result.mu:
         return VerifyReport(False, "steps_total != isolated_deletions + mu")
 
-    n, e = g0.n_initial, g0.edges
-    mt = np.asarray(result.matching, dtype=np.int64).reshape(-1, 3)
-    lo, hi = np.minimum(mt[:, 0], mt[:, 1]), np.maximum(mt[:, 0], mt[:, 1])
-
-    def pair(i: int) -> tuple[int, int]:
-        return int(lo[i]), int(hi[i])
-
-    keys = np.minimum(e[:, 0], e[:, 1]) * n + np.maximum(e[:, 0], e[:, 1])
-    order = np.argsort(keys)
-    want = lo * n + hi
-    pos = np.searchsorted(keys[order], want)
-    found = (lo >= 0) & (hi < n) & (pos < len(e))
-    found[found] = keys[order[pos[found]]] == want[found]
-    i = _first(~found)
+    e = g0.edges
+    i = _first((ids < 0) | (ids >= len(e)))
     if i is not None:
-        return VerifyReport(False, f"edge {pair(i)} not in the original graph")
-    got = e[order[pos], 2]
-    i = _first(got != mt[:, 2])
+        return VerifyReport(False, f"edge id {ids[i]} out of range for {len(e)} edges")
+    rows = e[ids]
+    i = _first((rows != mt).any(axis=1))
     if i is not None:
-        return VerifyReport(False, f"edge {pair(i)} has color {got[i]}, "
-                                   f"result claims {mt[i, 2]}")
-    i = _first(_repeats(mt[:, :2].ravel()))
+        return VerifyReport(False, f"row {tuple(mt[i].tolist())} is not graph edge id "
+                                   f"{ids[i]} {tuple(rows[i].tolist())}")
+    degree = np.bincount(rows[:, :2].ravel(), minlength=g0.n_initial)
+    i = _first(degree > 1)
     if i is not None:
-        return VerifyReport(False, f"not a matching: edge {pair(i // 2)} reuses a vertex")
-    i = _first(_repeats(mt[:, 2]))
+        return VerifyReport(False, f"not a matching: vertex {i} is in {degree[i]} "
+                                   f"matched edges")
+    uses = np.bincount(rows[:, 2], minlength=g0.q_total + 1)
+    i = _first(uses > 1)
     if i is not None:
-        return VerifyReport(False, f"not rainbow: color {mt[i, 2]} repeated")
-    matched = np.zeros(n, dtype=bool)
-    matched[mt[:, :2]] = True
-    used = np.zeros(g0.q_total + 1, dtype=bool)
-    used[mt[:, 2]] = True
-    free = np.flatnonzero(~matched[e[:, 0]] & ~matched[e[:, 1]] & ~used[e[:, 2]])
+        return VerifyReport(False, f"not rainbow: color {i} repeated")
+    free = np.flatnonzero((degree[e[:, 0]] == 0) & (degree[e[:, 1]] == 0)
+                          & (uses[e[:, 2]] == 0))
     if free.size:
         return VerifyReport(False, f"not maximal: {free.size} edges such as "
                                    f"{tuple(e[free[0]].tolist())} have both endpoints "
@@ -206,10 +203,3 @@ def _first(mask: np.ndarray) -> int | None:
     """Index of the first True entry, or None."""
     hits = np.flatnonzero(mask)
     return int(hits[0]) if hits.size else None
-
-
-def _repeats(values: np.ndarray) -> np.ndarray:
-    """Mask of the entries equal to an earlier entry."""
-    repeat = np.ones(len(values), dtype=bool)
-    repeat[np.unique(values, return_index=True)[1]] = False
-    return repeat

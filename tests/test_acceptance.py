@@ -205,8 +205,8 @@ def test_criterion_6_property_suite(capsys):
 
 
 def test_criterion_7_conjecture_sweep(sweep, capsys):
-    cfg, rows, _ = sweep
-    outcome = check_conjecture(cfg, rows=rows)
+    _, rows, _ = sweep
+    outcome = check_conjecture(rows)
     consistent = sum(r.status == "consistent with conjecture"
                      for r in outcome.rows)
     inconclusive = sum(r.status == "inconclusive (margin)"

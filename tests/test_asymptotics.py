@@ -11,7 +11,6 @@ from rainbow_greedy.asymptotics import (
     large_kappa_threshold,
     near_half_alpha,
     near_half_alpha_series,
-    predict_greedy_tau0,
     tau0_large_kappa,
     tau0_near_half,
     tau0_small_kappa_bounds,
@@ -190,55 +189,6 @@ class TestCaseDCorrection:
         assert est == pytest.approx(0.3725453, abs=1e-6)
         # close to the exact root but not necessarily inside the bracket
         assert abs(est - 0.3724457434888862) < 5e-4
-
-
-class TestDispatcher:
-    def test_exact_half(self):
-        pred = predict_greedy_tau0(TheoryParams(1.0, 0.5))
-        assert pred.case == "closed-half"
-        assert pred.tau0 == pytest.approx(0.21132486540518708, abs=1e-12)
-        assert pred.bracket is None
-
-    def test_near_half(self):
-        pred = predict_greedy_tau0(TheoryParams(1.0, 0.52))
-        assert pred.case == "near-half"
-        assert pred.bracket.contains(pred.tau0)
-        assert pred.bracket.contains(tau0_general(TheoryParams(1.0, 0.52)))
-
-    def test_small_kappa(self):
-        pred = predict_greedy_tau0(TheoryParams(6.0, 0.075))
-        assert pred.case == "small-kappa"
-        assert pred.bracket.contains(tau0_general(TheoryParams(6.0, 0.075)))
-
-    def test_large_kappa(self):
-        pred = predict_greedy_tau0(TheoryParams(3.0, 10.0))
-        assert pred.case == "large-kappa"
-        assert pred.bracket.contains(pred.tau0)
-        assert pred.bracket.contains(tau0_general(TheoryParams(3.0, 10.0)))
-        assert pred.epsilon_correction is not None
-        assert pred.leading_estimate is not None
-
-    def test_borderline_degree_falls_back(self):
-        # below the strict threshold the dispatcher uses the numeric root
-        # even though tau0_large_kappa itself would accept (gate slack)
-        pred = predict_greedy_tau0(TheoryParams(3.0, 2.0))
-        assert pred.case == "numeric-root"
-        assert pred.tau0 == pytest.approx(0.3615565064717692, abs=1e-12)
-
-    def test_low_degree_high_kappa_falls_back(self):
-        pred = predict_greedy_tau0(TheoryParams(0.5, 3.0))
-        assert pred.case == "numeric-root"
-
-    def test_prediction_tracks_exact_root(self):
-        for (c, kappa) in ((1.0, 0.5), (1.0, 0.52), (1.0, 0.45), (3.0, 10.0),
-                           (3.0, 2.0), (6.0, 0.075)):
-            pred = predict_greedy_tau0(TheoryParams(c, kappa))
-            exact = tau0_general(TheoryParams(c, kappa))
-            if pred.bracket is not None:
-                assert pred.bracket.contains(exact)
-            else:
-                assert pred.tau0 == pytest.approx(exact, abs=1e-9)
-            assert pred.mu_over_n == pred.tau0
 
 
 @settings(max_examples=40, deadline=None)

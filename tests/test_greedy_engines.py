@@ -147,6 +147,37 @@ class TestStride:
         assert r.trajectory[-1][2] == 0
 
 
+# Bad certificates: each edits a greedy result in place.
+def id_at_m(r):
+    r.edge_ids[0] = r.m
+
+
+def negative_id(r):
+    r.edge_ids[0] = -1
+
+
+def repeated_id(r):
+    # a repeated id repeats its row, so it reuses that row's vertices
+    r.edge_ids[1], r.matching[1] = r.edge_ids[0], r.matching[0]
+
+
+def id_names_another_edge(r):
+    r.edge_ids[:2] = r.edge_ids[1::-1].copy()
+
+
+def row_claims_another_color(r):
+    r.matching[0, 2] = r.matching[0, 2] % r.q + 1
+
+
+BAD_CERTIFICATES = [
+    (id_at_m, "edge id 500 out of range for 500 edges"),
+    (negative_id, "edge id -1 out of range for 500 edges"),
+    (repeated_id, "not a matching: vertex"),
+    (id_names_another_edge, "is not graph edge id"),
+    (row_claims_another_color, "is not graph edge id"),
+]
+
+
 class TestVerify:
     def test_passes_both_engines(self):
         for runner in (run_greedy, run_modified_greedy):
@@ -154,17 +185,21 @@ class TestVerify:
             rep = verify_result(fresh(seed=31), r)
             assert rep.ok, rep.failure
 
-    def test_flags_foreign_edge(self):
-        r = run_greedy(fresh(), 17)
-        r.matching = np.vstack([r.matching, [(398, 399, 1)]])
-        r.mu += 1
-        rep = verify_result(fresh(), r)
+    @pytest.mark.parametrize("corrupt, failure", BAD_CERTIFICATES,
+                             ids=[corrupt.__name__ for corrupt, _ in BAD_CERTIFICATES])
+    def test_flags_bad_certificate(self, corrupt, failure):
+        g = fresh()
+        r = run_greedy(g, 17)
+        corrupt(r)
+        rep = verify_result(g, r)
         assert not rep.ok
+        assert failure in rep.failure
 
     def test_flags_vertex_reuse(self):
         g0 = ColoredGraph(3, 2, [(0, 1, 1), (1, 2, 2)])
         r = run_greedy(ColoredGraph(3, 2, [(0, 1, 1), (1, 2, 2)]), 0)
         r.matching = np.array([(0, 1, 1), (1, 2, 2)])
+        r.edge_ids = np.array([0, 1])
         r.mu = 2
         r.steps_total = 2
         rep = verify_result(g0, r)
@@ -175,24 +210,19 @@ class TestVerify:
         g0 = ColoredGraph(4, 2, [(0, 1, 1), (2, 3, 1)])
         r = run_greedy(ColoredGraph(4, 2, [(0, 1, 1), (2, 3, 1)]), 0)
         r.matching = np.array([(0, 1, 1), (2, 3, 1)])
+        r.edge_ids = np.array([0, 1])
         r.mu = 2
         r.steps_total = 2
         rep = verify_result(g0, r)
         assert not rep.ok
         assert "not rainbow" in rep.failure
 
-    def test_flags_wrong_color_claim(self):
-        g0 = ColoredGraph(2, 2, [(0, 1, 1)])
-        r = run_greedy(ColoredGraph(2, 2, [(0, 1, 1)]), 0)
-        r.matching = np.array([(0, 1, 2)])
-        rep = verify_result(g0, r)
-        assert not rep.ok
-
     def test_flags_truncated_matching(self):
         g = fresh()
         for runner in (run_greedy, run_modified_greedy):
             r = runner(g, 17)
             r.matching = r.matching[:-1]
+            r.edge_ids = r.edge_ids[:-1]
             r.mu -= 1
             r.steps_total -= 1
             rep = verify_result(g, r)
@@ -204,6 +234,19 @@ class TestVerify:
         r.mu += 1
         rep = verify_result(fresh(), r)
         assert not rep.ok
+
+    def test_flags_malformed_result(self):
+        g = fresh()
+        r = run_greedy(g, 17)
+        r.matching = r.matching[:, :2]
+        rep = verify_result(g, r)
+        assert not rep.ok
+        assert "malformed result" in rep.failure and f"({r.mu}, 2)" in rep.failure
+        r = run_greedy(generate(5, 0, 2, seed=1), 0)
+        r.edge_ids = np.array([])
+        rep = verify_result(generate(5, 0, 2, seed=1), r)
+        assert not rep.ok
+        assert "dtype float64" in rep.failure
 
 
 @settings(max_examples=40, deadline=None)
@@ -235,7 +278,7 @@ class Replay:
             for x in (u, v, self.n + c):
                 self.incident[x].append(eid)
         self.t, self.nu, self.mu_edges, self.q_remaining = 0, self.n, len(self.edges), self.q
-        self.matching, self.isolated = [], 0
+        self.matching, self.edge_ids, self.isolated = [], [], 0
         self.rows = [self.row()]
 
     def row(self):
@@ -258,6 +301,7 @@ class Replay:
         else:
             color = self.edges[eid][2]
             self.matching.append(self.edges[eid])
+            self.edge_ids.append(eid)
             self.color_free[color] = False
             self.q_remaining -= 1
             self.kill(self.n + color)
@@ -268,6 +312,7 @@ class Replay:
             algorithm=algorithm, n=self.n, m=len(self.edges), q=self.q,
             graph_seed=g.seed, run_seed=run_seed,
             matching=np.array(self.matching, dtype=np.int64).reshape(-1, 3),
+            edge_ids=np.array(self.edge_ids, dtype=np.int64),
             mu=len(self.matching), steps_total=self.t,
             isolated_deletions=self.isolated,
             trajectory=np.array(self.rows, dtype=np.int64))
@@ -321,8 +366,9 @@ def assert_same_as_reference(g, seed):
         want = reference(g, seed)
         assert as_lists(got) == as_lists(want), (engine.__name__, g.n_initial,
                                                  g.m_initial, seed)
-        assert got.matching.dtype == got.trajectory.dtype == np.int64
+        assert got.matching.dtype == got.edge_ids.dtype == got.trajectory.dtype == np.int64
         assert got.matching.shape == (got.mu, 3)
+        assert np.array_equal(g.edges[got.edge_ids], got.matching)
         assert got.trajectory.shape == (got.steps_total + 1, 4)
         assert all(type(x) is int for x in (got.mu, got.steps_total, got.isolated_deletions))
 

@@ -22,7 +22,7 @@ from rainbow_greedy.ode_theory import (
     tau0_closed_half,
     tau0_general,
 )
-from rainbow_greedy.asymptotics import predict_greedy_tau0
+from rainbow_greedy.asymptotics import tau0_small_kappa_bounds
 from rainbow_greedy.colored_graph import generate
 from rainbow_greedy.experiment_harness import theory_mu_over_n
 from rainbow_greedy.greedy_engines import run_greedy, run_modified_greedy
@@ -236,9 +236,12 @@ class TestTau0General:
 
     @pytest.mark.parametrize("c, kappa", STARVED)
     def test_color_starved_cells(self, c, kappa):
-        # every color gets used: the root is kappa to float resolution
-        assert tau0_general(TheoryParams(c, kappa)) == kappa
-        assert predict_greedy_tau0(TheoryParams(c, kappa)).mu_over_n == kappa
+        # every color gets used: the root is kappa to float resolution, and
+        # so is the small-kappa estimate on the cells its gate admits
+        p = TheoryParams(c, kappa)
+        assert tau0_general(p) == kappa
+        if c > 5.0 and kappa < 1.0 / (2.0 * c):
+            assert tau0_small_kappa_bounds(p).estimate == kappa
 
     def test_color_starved_cell_matches_simulation(self):
         c, kappa = STARVED[0]
