@@ -203,3 +203,30 @@ def test_near_half_containment_property(c, kappa):
         return
     assert b.lower <= b.estimate <= b.upper
     assert b.contains(tau0_general(p))
+
+
+@settings(max_examples=60, deadline=None)
+@given(c=st.floats(5.0, 40.0, exclude_min=True),
+       frac=st.floats(1e-6, 1.0, exclude_max=True))
+def test_small_kappa_containment_property(c, frac):
+    # the kappa the gate admits, kappa < 1/(2c), down to 1e-6 of the bound
+    kappa = frac / (2.0 * c)
+    assume(kappa < 1.0 / (2.0 * c))   # frac just under 1 can round up to it
+    p = TheoryParams(c, kappa)
+    b = tau0_small_kappa_bounds(p)
+    assert b.lower <= b.estimate <= b.upper <= p.kappa
+    assert b.contains(tau0_general(p))
+
+
+@settings(max_examples=200, deadline=None)
+@given(log_c=st.floats(math.log(0.01), math.log(100.0)),
+       log_kappa=st.floats(math.log(1e-3), math.log(1e3)))
+def test_regime_gates_are_disjoint(log_c, log_kappa):
+    p = TheoryParams(math.exp(log_c), math.exp(log_kappa))
+    accepted = []
+    for op in (tau0_near_half, tau0_large_kappa, tau0_small_kappa_bounds):
+        try:
+            accepted.append(op(p).regime)
+        except RegimeError:
+            pass
+    assert len(accepted) <= 1, accepted

@@ -18,6 +18,7 @@ from rainbow_greedy.experiment_harness import (
     REFERENCE_TABLE,
     TABLE_COLUMNS,
     THEORY_COLUMNS,
+    AggregateRow,
     ExperimentConfig,
     asymptotics_report,
     check_conjecture,
@@ -266,6 +267,40 @@ class TestConjecture:
         report = check_conjecture(rows)
         assert report.rows == [] and report.violations == []
 
+    @staticmethod
+    def agg(algorithm, mean, n=1000):
+        # stderrs 0.003 and 0.004 pool to a 3-SE margin of 0.015
+        stderr = 0.003 if algorithm == "greedy" else 0.004
+        return AggregateRow(c=1.0, kappa=0.5, n=n, algorithm=algorithm, reps=5,
+                            mean_mu_over_n=mean, stderr=stderr,
+                            theory_mu_over_n=math.nan, abs_deviation=math.nan,
+                            runtime_seconds=0.0)
+
+    @pytest.mark.parametrize("diff,status", [
+        (-0.02, "violation"),
+        (-0.01, "inconclusive (margin)"),
+        (0.01, "inconclusive (margin)"),
+        (0.02, "consistent with conjecture"),
+    ], ids=["violation", "inconclusive_below", "inconclusive_above",
+            "consistent"])
+    def test_status_from_pooled_margin(self, diff, status):
+        report = check_conjecture([self.agg("greedy", 0.2),
+                                   self.agg("modified", 0.2 + diff)])
+        (row,) = report.rows
+        assert row.margin == pytest.approx(0.015, abs=1e-15)
+        assert row.diff == pytest.approx(diff, abs=1e-15)
+        assert row.status == status
+        assert report.violations == ([row] if status == "violation" else [])
+
+    def test_one_row_per_cell_sorted_by_n(self):
+        rows = [self.agg("modified", 0.25, n=2000), self.agg("greedy", 0.2, n=500),
+                self.agg("greedy", 0.2, n=2000), self.agg("modified", 0.25, n=500),
+                self.agg("greedy", 0.2, n=8000)]
+        report = check_conjecture(rows)
+        assert [r.n for r in report.rows] == [500, 2000]
+        assert all(r.mean_greedy == 0.2 and r.mean_modified == 0.25
+                   for r in report.rows)
+
 
 class TestTheoryReport:
     def test_values(self):
@@ -299,6 +334,10 @@ class TestAsymptoticsReport:
 
     def test_no_regime_applies(self):
         assert asymptotics_report([0.5], [3.0]) == []
+
+    def test_exact_half_has_no_bracket(self):
+        # tau0_closed_half is exact at kappa = 1/2, so no regime claims it
+        assert asymptotics_report([0.5, 1.0, 3.0, 8.0], [0.5]) == []
 
 
 class TestCli:
