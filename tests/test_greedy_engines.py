@@ -2,7 +2,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rainbow_greedy.colored_graph import ColoredGraph, generate
 from rainbow_greedy.greedy_engines import (
@@ -406,3 +406,62 @@ class TestSameAsSequentialScan:
         n = 41
         edges = np.array([(i, i + 1, i + 1) for i in range(n - 1)])
         assert _first_fit(edges, n, n - 1).tolist() == list(range(0, n - 1, 2))
+
+
+def sequential_first_fit(edges, n):
+    """Rows, ascending, that a plain first-fit scan takes: each row whose
+    endpoints and color no earlier taken row holds."""
+    held, out = set(), []
+    for i, (u, v, c) in enumerate(edges.tolist()):
+        if not {u, v, n + c} & held:
+            held |= {u, v, n + c}
+            out.append(i)
+    return out
+
+
+WINDOW = 1024   # _first_fit's window width for fewer than 16 * 1024 vertices
+
+
+def scan_rows(shape, m, n, q, gen):
+    """m (u, v, color) rows over n vertices and q colors, in one of the
+    orders the kernel must handle: uniform, sorted by the lower endpoint
+    (the modified engine's shape), single-colored, a path scanned end to
+    end (the worst order, about m/2 rounds), or a star at vertex 0 and
+    then one row off it (windows empty out before the order does)."""
+    if shape == "path":
+        return np.stack([np.arange(m), np.arange(1, m + 1),
+                         gen.integers(1, q + 1, m)], axis=1)
+    if shape == "star":
+        rows = np.stack([np.zeros(m, dtype=np.int64), gen.integers(1, n - 2, m),
+                         gen.integers(1, q + 1, m)], axis=1)
+        if m:
+            rows[-1] = (n - 2, n - 1, rows[0, 2] % q + 1)
+        return rows
+    u = gen.integers(0, n, m)
+    v = (u + gen.integers(1, n, m)) % n
+    color = np.ones(m, dtype=np.int64) if shape == "one_color" else gen.integers(1, q + 1, m)
+    rows = np.stack([u, v, color], axis=1)
+    if shape == "by_endpoint":
+        rows = rows[np.argsort(np.minimum(u, v), kind="stable")]
+    return rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.sampled_from([0, 1, WINDOW - 1, WINDOW, WINDOW + 1, 5000])
+       | st.integers(0, 5000),
+       n=st.integers(4, 400), q=st.integers(1, 500),
+       shape=st.sampled_from(["uniform", "by_endpoint", "one_color", "path", "star"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(m=WINDOW - 1, n=300, q=200, shape="by_endpoint", seed=1)
+@example(m=WINDOW, n=300, q=200, shape="uniform", seed=2)
+@example(m=WINDOW + 1, n=300, q=1, shape="one_color", seed=3)
+@example(m=5000, n=400, q=500, shape="by_endpoint", seed=4)
+@example(m=5000, n=0, q=5000, shape="path", seed=5)
+@example(m=3 * WINDOW, n=50, q=10, shape="star", seed=6)
+def test_kernel_same_as_sequential_first_fit(m, n, q, shape, seed):
+    if shape == "path":
+        n = m + 1
+    rows = scan_rows(shape, m, n, q, np.random.default_rng(seed))
+    got = _first_fit(rows, n, q)
+    assert got.dtype == np.int64
+    assert got.tolist() == sequential_first_fit(rows, n)
