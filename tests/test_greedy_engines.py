@@ -456,7 +456,7 @@ def scan_rows(shape, m, n, q, gen):
 @example(m=WINDOW, n=300, q=200, shape="uniform", seed=2)
 @example(m=WINDOW + 1, n=300, q=1, shape="one_color", seed=3)
 @example(m=5000, n=400, q=500, shape="by_endpoint", seed=4)
-@example(m=5000, n=0, q=5000, shape="path", seed=5)
+@example(m=5000, n=5001, q=5000, shape="path", seed=5)
 @example(m=3 * WINDOW, n=50, q=10, shape="star", seed=6)
 def test_kernel_same_as_sequential_first_fit(m, n, q, shape, seed):
     if shape == "path":
