@@ -322,7 +322,7 @@ def integrate_modified(params: TheoryParams,
     more than 10 * step, or if tau0 leaves [1/2, 1].
     """
     c, kap = params.c, params.kappa
-    default = max(1e-6, min(1e-3, kap / c))
+    default = _modified_default_step(c, kap)
     if step is None:
         step = default
     _validate_step(step)
@@ -378,6 +378,11 @@ def integrate_modified(params: TheoryParams,
 
     return OdeTrajectory(kind="modified", taus=t_arr, values=n_arr,
                          tau0=tau0, step=step, mu_over_n=1.0 - tau0)
+
+
+def _modified_default_step(c: float, kappa: float) -> float:
+    """integrate_modified's default step: min(1e-3, kappa/c), at least 1e-6."""
+    return max(1e-6, min(1e-3, kappa / c))
 
 
 # Newton updates allowed per block in _refine_modified, the residual at

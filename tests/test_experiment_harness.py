@@ -1,8 +1,11 @@
 import json
 import math
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import threading
 from dataclasses import asdict
 from types import SimpleNamespace
 
@@ -96,6 +99,12 @@ class TestConfig:
     def test_rejects_bad_ode_step(self, step):
         with pytest.raises(ValueError, match="step"):
             small_cfg(ode_step=step)
+
+    def test_rejects_cell_beyond_physical_memory(self):
+        # q = 10^11 colors: the engines' per-color arrays alone are ~800 GB
+        with pytest.raises(ValueError, match=r"kappa=1000000.0, n=100000 "
+                                             r"needs about .* GB"):
+            small_cfg(kappa_values=(1e6,), n_values=(100_000,))
 
     def test_cell_order_is_row_major(self):
         cfg = small_cfg(c_values=(1.0, 2.0), algorithms=("greedy",))
@@ -197,6 +206,124 @@ class TestMonteCarlo:
                 devs[(r.algorithm, n)] = r.abs_deviation
         assert devs[("greedy", 100_000)] < devs[("greedy", 1000)]
         assert devs[("modified", 100_000)] < devs[("modified", 1000)]
+
+
+def force_pool(monkeypatch):
+    """Run every call of two or more tasks on a pool of two workers."""
+    monkeypatch.setattr(experiment_harness, "_POOL_MIN_WORK_S", 0.0)
+    monkeypatch.setattr(experiment_harness, "_cpus", lambda: 2)
+
+
+def without_runtimes(items):
+    runtimes = ("runtime_seconds", "generate_seconds", "engine_seconds")
+    return [{k: v for k, v in asdict(x).items() if k not in runtimes}
+            for x in items]
+
+
+class TestPool:
+    def test_sweep_matches_in_process(self, monkeypatch):
+        cfg = small_cfg(c_values=(0.5, 3.0), kappa_values=(0.1, 2.0), reps=3)
+        rows, records = run_monte_carlo(cfg)
+        force_pool(monkeypatch)
+        streamed = []
+        pooled_rows, pooled_records = run_monte_carlo(cfg, on_row=streamed.append)
+        assert multiprocessing.active_children() == []
+        assert streamed == pooled_rows
+        assert without_runtimes(pooled_rows) == without_runtimes(rows)
+        assert without_runtimes(pooled_records) == without_runtimes(records)
+
+    def test_theory_and_table_match_in_process(self, monkeypatch):
+        # (100, 0.01) at step 1e-2: the modified integration runs away
+        c_values, kappa_values = (0.5, 3.0, 100.0), (0.01, 0.52, 5.0)
+        theory = theory_report(c_values, kappa_values, step=1e-2)
+        table = reproduce_reference_table(step=1e-4)
+        force_pool(monkeypatch)
+        assert theory_report(c_values, kappa_values, step=1e-2) == theory
+        assert reproduce_reference_table(step=1e-4) == table
+        assert multiprocessing.active_children() == []
+        assert any(r["mu_modified"] is None for r in theory)
+
+    def test_failed_task_raises_after_the_cells_before_it(self, monkeypatch):
+        # the middle cell (c = 2) fails in a worker; the first cell's row is
+        # delivered, the last cell's is not, whatever order they finish in
+        run_greedy = experiment_harness.run_greedy
+
+        def fail_at_c2(g, run_seed):
+            if g.m_initial == 500:
+                raise RuntimeError(f"engine failed in process {os.getpid()}")
+            return run_greedy(g, run_seed)
+
+        monkeypatch.setattr(experiment_harness, "run_greedy", fail_at_c2)
+        force_pool(monkeypatch)
+        streamed = []
+        with pytest.raises(RuntimeError, match=r"engine failed in process") as exc:
+            run_monte_carlo(small_cfg(c_values=(1.0, 2.0, 3.0),
+                                      algorithms=("greedy",)),
+                            on_row=streamed.append)
+        assert int(str(exc.value).split()[-1]) != os.getpid()
+        assert [r.c for r in streamed] == [1.0]
+        assert multiprocessing.active_children() == []
+
+    def test_killed_worker_raises(self, monkeypatch):
+        # as when the kernel kills a worker for memory: the call raises
+        # within about a second instead of waiting for the lost task
+        run_greedy, parent = experiment_harness.run_greedy, os.getpid()
+
+        def killed_at_c2(g, run_seed):
+            if g.m_initial == 500:
+                assert os.getpid() != parent, "the task ran in-process"
+                os.kill(os.getpid(), signal.SIGKILL)
+            return run_greedy(g, run_seed)
+
+        monkeypatch.setattr(experiment_harness, "run_greedy", killed_at_c2)
+        force_pool(monkeypatch)
+        with pytest.raises(RuntimeError, match="a pool worker died"):
+            run_monte_carlo(small_cfg(c_values=(1.0, 2.0, 3.0),
+                                      algorithms=("greedy",)))
+        assert multiprocessing.active_children() == []
+
+    def test_interrupt_in_the_caller_stops_the_workers(self, monkeypatch):
+        def interrupt(row):
+            raise KeyboardInterrupt
+
+        force_pool(monkeypatch)
+        with pytest.raises(KeyboardInterrupt):
+            run_monte_carlo(small_cfg(c_values=(1.0, 2.0, 3.0), reps=4),
+                            on_row=interrupt)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus, tasks, available, peak, workers", [
+        (2, 4, 8 * 10**9, 10**8, 2),          # CPUs bound
+        (8, 3, 8 * 10**9, 10**8, 3),          # tasks bound
+        (8, 100, 10**9, 4 * 10**8, 2),        # memory bound
+        (8, 100, 10**9, 2 * 10**9, 0),        # one task does not fit
+        (4, 4, 10**9, 0, 4),                  # no estimate
+    ])
+    def test_worker_count(self, cpus, tasks, available, peak, workers):
+        assert experiment_harness._workers(cpus, tasks, available, peak) == workers
+
+    def test_in_process_when_small_or_threaded(self, monkeypatch):
+        monkeypatch.setattr(experiment_harness, "_cpus", lambda: 2)
+        heavy = [(1.0, 10**6)] * 4
+        assert experiment_harness._pool_size(heavy) == 2
+        assert experiment_harness._pool_size([(0.01, 10**6)] * 4) == 1
+        assert experiment_harness._pool_size(heavy[:1]) == 1
+        stop = threading.Event()
+        other = threading.Thread(target=stop.wait)
+        other.start()
+        try:
+            assert experiment_harness._pool_size(heavy) == 1
+        finally:
+            stop.set()
+            other.join()
+
+    def test_phase_timings_add_up(self):
+        rows, records = run_monte_carlo(small_cfg())
+        for r in records:
+            assert r.generate_seconds >= 0 and r.engine_seconds >= 0
+            assert r.runtime_seconds == r.generate_seconds + r.engine_seconds
+        assert rows[0].runtime_seconds == sum(r.runtime_seconds
+                                              for r in records[:3])
 
 
 class TestConventionStatement:
@@ -460,6 +587,15 @@ class TestCli:
         assert exc.value.code == 2
         assert "error:" in capsys.readouterr().err
         assert out.read_text() == "earlier output\n"
+
+    def test_cell_beyond_memory_is_an_argument_error(self, tmp_path, capsys):
+        out = tmp_path / "rows.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--kappa", "1e6", "--n", "100000", "--out",
+                  str(out)])
+        assert exc.value.code == 2
+        assert "GB" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["simulate", "theory", "asymptotics",
                                          "conjecture"])
