@@ -110,8 +110,9 @@ _TASK_S = 3e-4   # fixed cost of a task, rep or theory cell
 _ODE_NS = (850, 145, 45)
 _ODE_BYTES_PER_STEP = 160
 
-# A fork pool of 2 workers takes 8-10 ms to start, run a trivial task and
-# stop (median of 20 cycles: 8.0 ms, quartiles 7.4-9.2 ms); a call whose
+# A fork pool of 2 workers takes 9-10 ms to start, run two trivial tasks
+# and stop (median of 20 cycles, three runs: 9.2-9.9 ms, quartiles
+# 8.7-10.4 ms), most of it forking and reaping the workers; a call whose
 # estimated serial work is below 5 times 10 ms runs in-process. (A spawn
 # pool took 260 ms, as each worker imports numpy afresh.)
 _POOL_MIN_WORK_S = 0.05
@@ -262,50 +263,64 @@ def _workers(cpus: int, tasks: int, available: int, peak: int) -> int:
     return min(cpus, tasks, available // max(peak, 1))
 
 
-def _call(job):
-    """Run one task in a worker; a failure comes back as a value, so that
+def _work(fn, tasks: list, order: list[int], claimed, conn) -> None:
+    """A worker's loop: claim the next position of `order` from the shared
+    counter `claimed`, run that task and send (index, ok, value) on conn,
+    until every task is claimed. A failure comes back as a value, so that
     the caller learns which task failed."""
-    fn, index, task = job
-    try:
-        return index, True, fn(task)
-    except Exception as exc:
-        # pickles as exc with the worker's traceback as its __cause__
-        from multiprocessing.pool import ExceptionWithTraceback
-        return index, False, ExceptionWithTraceback(exc, exc.__traceback__)
+    import signal
+    signal.signal(signal.SIGINT, signal.SIG_IGN)   # Ctrl-C is the caller's
+    while True:
+        with claimed.get_lock():
+            k = claimed.value
+            claimed.value = k + 1
+        if k >= len(order):
+            return
+        i = order[k]
+        try:
+            conn.send((i, True, fn(tasks[i])))
+        except Exception as exc:
+            # pickles as exc with the worker's traceback as its __cause__
+            from multiprocessing.pool import ExceptionWithTraceback
+            conn.send((i, False, ExceptionWithTraceback(exc, exc.__traceback__)))
 
 
-def _pool_results(results, count: int, pids: set[int]):
-    """Pass on (index, value) from a pool's imap results as tasks finish.
+def _pool_results(workers: dict, count: int):
+    """Pass on (index, value) from the workers' pipes (workers maps each
+    pipe to its process) as tasks finish.
 
     After a task fails, go on only until every task before it is back,
     then raise its exception: what runs in task order before the first
-    failure is all delivered. Raise RuntimeError once a worker (pids) has
-    died, as when the kernel kills it for memory: the pool would start a
-    new worker, but the task the dead one held would never come back.
+    failure is all delivered. Raise RuntimeError once a worker has died,
+    as when the kernel kills it for memory: the task it held would never
+    come back.
     """
-    import multiprocessing
+    from multiprocessing.connection import wait
     back = [False] * count
     low = 0   # every task before low is back
     failed = None
-    while failed is None or low < failed[0]:
-        try:
-            index, ok, value = results.next(timeout=1.0)
-        except StopIteration:
-            break
-        except multiprocessing.TimeoutError:
-            if pids - {p.pid for p in multiprocessing.active_children()}:
-                raise RuntimeError("a pool worker died before its task "
-                                   "finished") from None
-            continue
-        if ok:
-            back[index] = True
-            yield index, value
-        elif failed is None or index < failed[0]:
-            failed = index, value
-        while low < count and back[low]:
-            low += 1
+    while workers and (failed is None or low < failed[0]):
+        for conn in wait(list(workers)):
+            try:
+                index, ok, value = conn.recv()
+            except EOFError:   # the worker has exited
+                worker = workers.pop(conn)
+                worker.join()
+                if worker.exitcode:
+                    raise RuntimeError("a pool worker died before its task "
+                                       "finished") from None
+                continue
+            if ok:
+                back[index] = True
+                yield index, value
+            elif failed is None or index < failed[0]:
+                failed = index, value
+            while low < count and back[low]:
+                low += 1
     if failed is not None:
         raise failed[1]
+    if low < count:
+        raise RuntimeError("a pool worker died before its task finished")
 
 
 def _pool_size(costs: list[tuple[float, int]]) -> int:
@@ -329,25 +344,35 @@ def _dispatch(fn, tasks: list, costs: list[tuple[float, int]]):
 
     In-process, the tasks run lazily in task order as the iterator is read.
     On a fork pool they start at once, heaviest first, and come back as
-    they finish, and failures are raised as _pool_results says. No worker
-    outlives the block, however it exits.
+    they finish, and failures are raised as _pool_results says. The
+    workers inherit the tasks at fork; each claims the next one from a
+    shared counter and sends its result back on a pipe of its own. No
+    worker outlives the block, however it exits.
     """
-    workers = _pool_size(costs)
-    if workers < 2:
+    size = _pool_size(costs)
+    if size < 2:
         yield ((i, fn(task)) for i, task in enumerate(tasks))
         return
     import multiprocessing
-    import signal
+    ctx = multiprocessing.get_context("fork")
     order = sorted(range(len(tasks)), key=lambda i: -costs[i][0])
-    others = {p.pid for p in multiprocessing.active_children()}
-    # workers ignore Ctrl-C; the caller gets it, and leaving the block
-    # terminates the pool
-    with multiprocessing.get_context("fork").Pool(
-            workers, signal.signal, (signal.SIGINT, signal.SIG_IGN)) as pool:
-        pids = {p.pid for p in multiprocessing.active_children()} - others
-        yield _pool_results(
-            pool.imap_unordered(_call, [(fn, i, tasks[i]) for i in order]),
-            len(tasks), pids)
+    claimed = ctx.Value("q", 0)
+    workers = {}
+    try:
+        for _ in range(size):
+            reader, writer = ctx.Pipe(duplex=False)
+            worker = ctx.Process(target=_work, daemon=True,
+                                 args=(fn, tasks, order, claimed, writer))
+            worker.start()
+            writer.close()   # so that the reader sees EOF when the worker exits
+            workers[reader] = worker
+        yield _pool_results(dict(workers), len(tasks))
+    finally:
+        for reader, worker in workers.items():
+            if worker.exitcode is None:
+                worker.terminate()
+            worker.join()
+            reader.close()
 
 
 def _map(fn, tasks: list, costs: list[tuple[float, int]]) -> list:

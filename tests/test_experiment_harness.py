@@ -266,7 +266,7 @@ class TestPool:
 
     def test_killed_worker_raises(self, monkeypatch):
         # as when the kernel kills a worker for memory: the call raises
-        # within about a second instead of waiting for the lost task
+        # once the worker's pipe closes instead of waiting for the lost task
         run_greedy, parent = experiment_harness.run_greedy, os.getpid()
 
         def killed_at_c2(g, run_seed):
@@ -276,6 +276,23 @@ class TestPool:
             return run_greedy(g, run_seed)
 
         monkeypatch.setattr(experiment_harness, "run_greedy", killed_at_c2)
+        force_pool(monkeypatch)
+        with pytest.raises(RuntimeError, match="a pool worker died"):
+            run_monte_carlo(small_cfg(c_values=(1.0, 2.0, 3.0),
+                                      algorithms=("greedy",)))
+        assert multiprocessing.active_children() == []
+
+    def test_worker_that_exits_cleanly_mid_task_raises(self, monkeypatch):
+        # exit status 0 but a task never came back: still a lost task
+        run_greedy, parent = experiment_harness.run_greedy, os.getpid()
+
+        def exit_at_c2(g, run_seed):
+            if g.m_initial == 500:
+                assert os.getpid() != parent, "the task ran in-process"
+                sys.exit(0)
+            return run_greedy(g, run_seed)
+
+        monkeypatch.setattr(experiment_harness, "run_greedy", exit_at_c2)
         force_pool(monkeypatch)
         with pytest.raises(RuntimeError, match="a pool worker died"):
             run_monte_carlo(small_cfg(c_values=(1.0, 2.0, 3.0),
