@@ -5,9 +5,12 @@ predictions), table (reference-table reproduction), asymptotics (regime
 brackets vs the exact root), conjecture (greedy vs modified comparison).
 Each writes one table, as CSV or JSON (--format), through
 experiment_harness.to_csv / to_json, to stdout or --out; no other module
-writes output. A CSV line is written and flushed as each row is ready,
-so simulate streams one line per finished cell; if a cell fails, the
-rows before it stay written, as CSV lines or as a JSON array.
+writes output. A CSV line is written and flushed as each row is ready:
+simulate writes a cell's line once that cell and every earlier one are
+done. In-process that is one line per finished cell; on a pool, which
+runs the heaviest reps first, the cheap first cells tend to finish last,
+so most lines come near the end of the sweep. If a cell fails, the rows
+before it stay written, as CSV lines or as a JSON array.
 Human-readable notes go to stderr. simulate, theory and table take
 --step; asymptotics and conjecture report no ODE value and reject it.
 Exit codes: 0 success, 1 a --check (the command validating its own
@@ -244,8 +247,8 @@ def _cmd_asymptotics(args) -> int:
     bad = [r for r in rows if not r["contained"]]
     for r in bad:
         _note(f"CHECK FAIL (c={r['c']}, kappa={r['kappa']}, {r['regime']}): "
-              f"exact root {r['tau0_exact']:.6f} outside "
-              f"[{r['lower']:.6f}, {r['upper']:.6f}]")
+              f"exact root {r['tau0_exact']!r} outside "
+              f"[{r['lower']!r}, {r['upper']!r}]")
     return 1 if bad else 0
 
 

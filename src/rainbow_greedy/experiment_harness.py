@@ -11,14 +11,16 @@ hands each cell's row to an optional callback as the cell finishes).
 
 run_monte_carlo (one task per (cell, rep)), theory_report (one per (c,
 kappa) cell) and reproduce_reference_table (one per row) run their tasks
-through _dispatch: on a fork pool when the machine and the work allow it,
-in-process otherwise, with the same results either way. The pool has as
+through _dispatch, which hands back their values in task order: on a
+fork pool when the machine and the work allow it, in-process otherwise,
+with the same results either way. The pool has as
 many workers as there are usable CPUs, tasks, and copies of the largest
 task's estimated peak memory that fit in the available memory, and takes
 the heaviest tasks first. A call runs in-process when that is fewer than
 2 workers, when fork is not available, when other threads are running,
 or when its estimated serial work is below _POOL_MIN_WORK_S. Theory
-values and the rows' assembly stay in the calling process.
+values and the rows' and records' assembly stay in the calling process:
+a rep's task returns a plain tuple.
 
 Reported densities use the m = round(c n / 2) convention, i.e. c is the
 average initial degree. The tabulated reference values' greedy column
@@ -286,41 +288,37 @@ def _work(fn, tasks: list, order: list[int], claimed, conn) -> None:
 
 
 def _pool_results(workers: dict, count: int):
-    """Pass on (index, value) from the workers' pipes (workers maps each
-    pipe to its process) as tasks finish.
+    """Yield the tasks' values in task order from the workers' pipes
+    (workers maps each pipe to its process), holding those that arrive
+    early until their turn.
 
-    After a task fails, go on only until every task before it is back,
-    then raise its exception: what runs in task order before the first
-    failure is all delivered. Raise RuntimeError once a worker has died,
-    as when the kernel kills it for memory: the task it held would never
+    A failed task's exception is raised in its turn, so every task before
+    it is delivered first. Raise RuntimeError once a worker has died, as
+    when the kernel kills it for memory: the task it held would never
     come back.
     """
     from multiprocessing.connection import wait
-    back = [False] * count
-    low = 0   # every task before low is back
-    failed = None
-    while workers and (failed is None or low < failed[0]):
-        for conn in wait(list(workers)):
-            try:
-                index, ok, value = conn.recv()
-            except EOFError:   # the worker has exited
-                worker = workers.pop(conn)
-                worker.join()
-                if worker.exitcode:
-                    raise RuntimeError("a pool worker died before its task "
-                                       "finished") from None
-                continue
-            if ok:
-                back[index] = True
-                yield index, value
-            elif failed is None or index < failed[0]:
-                failed = index, value
-            while low < count and back[low]:
-                low += 1
-    if failed is not None:
-        raise failed[1]
-    if low < count:
-        raise RuntimeError("a pool worker died before its task finished")
+    early = {}   # index -> (ok, value) of tasks back before their turn
+    for i in range(count):
+        while i not in early:
+            if not workers:
+                raise RuntimeError("a pool worker died before its task "
+                                   "finished")
+            for conn in wait(list(workers)):
+                try:
+                    index, ok, value = conn.recv()
+                except EOFError:   # the worker has exited
+                    worker = workers.pop(conn)
+                    worker.join()
+                    if worker.exitcode:
+                        raise RuntimeError("a pool worker died before its "
+                                           "task finished") from None
+                    continue
+                early[index] = ok, value
+        ok, value = early.pop(i)
+        if not ok:
+            raise value
+        yield value
 
 
 def _pool_size(costs: list[tuple[float, int]]) -> int:
@@ -339,19 +337,19 @@ def _pool_size(costs: list[tuple[float, int]]) -> int:
 @contextlib.contextmanager
 def _dispatch(fn, tasks: list, costs: list[tuple[float, int]]):
     """Start fn, a module-level function, over the tasks and yield an
-    iterator of (index, fn(tasks[index])); costs holds each task's
-    estimated (seconds, peak bytes).
+    iterator of fn(task) for each task in task order; costs holds each
+    task's estimated (seconds, peak bytes).
 
-    In-process, the tasks run lazily in task order as the iterator is read.
-    On a fork pool they start at once, heaviest first, and come back as
-    they finish, and failures are raised as _pool_results says. The
-    workers inherit the tasks at fork; each claims the next one from a
-    shared counter and sends its result back on a pipe of its own. No
+    In-process, the tasks run lazily as the iterator is read. On a fork
+    pool they start at once, heaviest first, and _pool_results puts them
+    back in task order, raising a failed task's exception in its turn.
+    The workers inherit the tasks at fork; each claims the next one from
+    a shared counter and sends its result back on a pipe of its own. No
     worker outlives the block, however it exits.
     """
     size = _pool_size(costs)
     if size < 2:
-        yield ((i, fn(task)) for i, task in enumerate(tasks))
+        yield map(fn, tasks)
         return
     import multiprocessing
     ctx = multiprocessing.get_context("fork")
@@ -373,15 +371,6 @@ def _dispatch(fn, tasks: list, costs: list[tuple[float, int]]):
                 worker.terminate()
             worker.join()
             reader.close()
-
-
-def _map(fn, tasks: list, costs: list[tuple[float, int]]) -> list:
-    """[fn(task) for task in tasks], through _dispatch."""
-    out = [None] * len(tasks)
-    with _dispatch(fn, tasks, costs) as results:
-        for i, value in results:
-            out[i] = value
-    return out
 
 
 # -- Monte Carlo sweep -----------------------------------------------------------
@@ -444,27 +433,20 @@ def run_monte_carlo(cfg: ExperimentConfig, on_row=None
         for rep in range(reps):
             tasks.append((n, m, q, algo, mix(cfg.master_seed, cell_index, rep, 0),
                           mix(cfg.master_seed, cell_index, rep, 1)))
-    outcomes = [None] * len(tasks)
-    done = 0   # outcomes[:done] are all in
     rows: list[AggregateRow] = []
     records: list[RunRecord] = []
     with _dispatch(_run_rep, tasks,
                    [_rep_cost(t[3], *t[:3]) for t in tasks]) as results:
         theories = [theory_mu_over_n(c, kappa, algo, cfg.ode_step)
                     for c, kappa, _, algo in cells]
-        for i, outcome in results:
-            outcomes[i] = outcome
-            while done < len(tasks) and outcomes[done] is not None:
-                done += 1
-            while (len(rows) + 1) * reps <= done:
-                k = len(rows)
-                cell = slice(k * reps, (k + 1) * reps)
-                row, cell_records = _cell_results(cells[k], tasks[cell],
-                                                  outcomes[cell], theories[k])
-                rows.append(row)
-                records.extend(cell_records)
-                if on_row is not None:
-                    on_row(row)
+        for k, cell in enumerate(cells):
+            outcomes = [next(results) for _ in range(reps)]
+            row, cell_records = _cell_results(
+                cell, tasks[k * reps:(k + 1) * reps], outcomes, theories[k])
+            rows.append(row)
+            records.extend(cell_records)
+            if on_row is not None:
+                on_row(row)
     return rows, records
 
 
@@ -546,8 +528,10 @@ def reproduce_reference_table(step: float | None = None) -> TableComparison:
     """
     tasks = [(c, ref_g, ref_m, step)
              for c, (ref_g, ref_m) in sorted(REFERENCE_TABLE.items())]
-    rows = _map(_table_row, tasks,
-                [_ode_cost(c, 0.5, step, greedy=False) for c, *_ in tasks])
+    with _dispatch(_table_row, tasks,
+                   [_ode_cost(c, 0.5, step, greedy=False)
+                    for c, *_ in tasks]) as results:
+        rows = list(results)
     outliers = [(r["c"], r["delta_modified"]) for r in rows
                 if abs(r["delta_modified"]) > 0.01]
     all_c1 = all(abs(r["delta_sqrt_c1"]) <= 0.005 for r in rows)
@@ -646,8 +630,10 @@ def theory_report(c_values, kappa_values,
     and from direct integration, matching densities, and the modified
     ceiling. Entries are None where a prediction does not apply."""
     tasks = [(c, kappa, step) for c in c_values for kappa in kappa_values]
-    return _map(_theory_cell, tasks,
-                [_ode_cost(c, kappa, step, greedy=True) for c, kappa, _ in tasks])
+    with _dispatch(_theory_cell, tasks,
+                   [_ode_cost(c, kappa, step, greedy=True)
+                    for c, kappa, _ in tasks]) as results:
+        return list(results)
 
 
 def asymptotics_report(c_values, kappa_values) -> list[dict]:

@@ -2,6 +2,7 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -261,6 +262,26 @@ class TestPool:
                                       algorithms=("greedy",)),
                             on_row=streamed.append)
         assert int(str(exc.value).split()[-1]) != os.getpid()
+        assert [r.c for r in streamed] == [1.0]
+        assert multiprocessing.active_children() == []
+
+    def test_earliest_failed_task_is_raised(self, monkeypatch):
+        # c = 2 and c = 3 both fail; c = 3's heavier reps are claimed and
+        # fail first, yet c = 2's failure is raised, after c = 1's row
+        run_greedy = experiment_harness.run_greedy
+
+        def fail_from_c2(g, run_seed):
+            if g.m_initial >= 500:
+                raise RuntimeError(f"engine failed at m={g.m_initial}")
+            return run_greedy(g, run_seed)
+
+        monkeypatch.setattr(experiment_harness, "run_greedy", fail_from_c2)
+        force_pool(monkeypatch)
+        streamed = []
+        with pytest.raises(RuntimeError, match=r"^engine failed at m=500$"):
+            run_monte_carlo(small_cfg(c_values=(1.0, 2.0, 3.0),
+                                      algorithms=("greedy",)),
+                            on_row=streamed.append)
         assert [r.c for r in streamed] == [1.0]
         assert multiprocessing.active_children() == []
 
@@ -582,6 +603,17 @@ class TestCli:
                    "--check"])
         assert rc == 0
         assert "near-half" in capsys.readouterr().out
+
+    def test_asymptotics_check_fails_on_a_missed_root(self, capsys):
+        # the large-kappa bracket misses the root at (8, 5) by under 1e-8,
+        # so the failure line needs every digit to tell them apart
+        rc = main(["asymptotics", "--c", "8", "--kappa", "5", "--check"])
+        assert rc == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("CHECK FAIL (c=8.0, kappa=5.0, large-kappa): ")
+        root, lower = (float(x) for x in re.search(
+            r"exact root (\S+) outside \[(\S+),", line).groups())
+        assert root < lower
 
     def test_conjecture_runs(self, capsys):
         rc = main(["conjecture", "--c", "1", "--kappa", "0.5", "--n", "500",
