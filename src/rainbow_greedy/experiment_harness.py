@@ -98,11 +98,11 @@ _ALGORITHMS = ("greedy", "modified")
 # A rep (generate, then the engine) costs per (edge, vertex, color), in ns
 # and in bytes of peak RSS above the interpreter's. Against one rep per
 # cell at n = 500 ... 10^6, c in {0.5, 1, 5}, kappa in {0.1, 0.5, 2, 20},
-# the time reads 0.7-2.2x low-to-high at n <= 10^5 and up to 3x low at
-# n = 10^6, where cache misses grow; the bytes read 5-35 % above the
-# measured peak at n = 10^6 and at most 6 MB below it at n = 10^5.
-_REP_NS = {"greedy": (250, 5, 5), "modified": (370, 100, 5)}
-_REP_BYTES = {"greedy": (88, 26, 10), "modified": (88, 140, 9)}
+# the time reads 0.65-1.4x of the measured at n >= 10^4 and 0.45-1.15x at
+# n = 500; the bytes read 6-25 % above the measured peak at n = 10^6 and
+# at most 0.4 MB below it at n <= 10^5.
+_REP_NS = {"greedy": (243, 12, 7), "modified": (308, 104, 8)}
+_REP_BYTES = {"greedy": (66, 16, 10), "modified": (64, 110, 8)}
 _TASK_S = 3e-4   # fixed cost of a task, rep or theory cell
 # A theory cell costs per RK4 step: 850 ns in the modified scalar loop,
 # 145 ns in its Newton refinement and 45 ns in integrate_greedy, and its

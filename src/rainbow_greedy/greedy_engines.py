@@ -9,11 +9,12 @@ matching is rainbow by construction. The engines never change the graph.
 
 Each engine takes what a first-fit scan of a random edge order takes:
 every edge whose endpoints and color are still free. Greedy scans a
-uniform edge order. Modified greedy shuffles each incidence list once,
-gives the vertices uniform turns, and lists each edge at its endpoint
-with the earlier turn, in turn order, then list order: at a vertex's
-turn its edges to earlier-turn vertices are already dead, and it takes
-the first free edge of the rest. _first_fit runs a scan in rounds of
+uniform edge order. Modified greedy draws one uniform edge permutation,
+which orders every vertex's incidence list, gives the vertices uniform
+turns, and lists each edge at its endpoint with the earlier turn, in
+turn order, then permutation order: at a vertex's turn its edges to
+earlier-turn vertices are already dead, and it takes the first free
+edge of the rest. _first_fit runs a scan in rounds of
 numpy work over a window of the order's first live edges, at most
 max(1024, n // 16) of them, refilled from the order as edges resolve.
 It reads each edge of the order once; on the engines' orders at
@@ -78,11 +79,17 @@ def _result(algorithm: str, g: ColoredGraph, run_seed: int,
     only delete isolated vertices and are not part of the process.
     """
     n, q, e = g.n_initial, g.q_total, g.edges
-    vertex_step = np.full(n, n + 1)
+    matching = e.take(taken, axis=0)
+    u, v, color = matching.T
+    # steps run up to n + 1; int32 makes the m-sized gathers and minimum
+    # below cheaper (np.bincount casts it back to intp on its own)
+    step = np.int32 if n < 2 ** 31 - 1 else np.int64
+    vertex_step = np.full(n, n + 1, dtype=step)
     vertex_step[processed] = np.arange(1, len(processed) + 1)
-    vertex_step[e[taken, :2]] = taken_step[:, None]
-    color_step = np.full(q + 1, n + 1)
-    color_step[e[taken, 2]] = taken_step
+    vertex_step[u] = taken_step
+    vertex_step[v] = taken_step
+    color_step = np.full(q + 1, n + 1, dtype=step)
+    color_step[color] = taken_step
     death = np.minimum(np.minimum(vertex_step[e[:, 0]], vertex_step[e[:, 1]]),
                        color_step[e[:, 2]])
     t_end = int(death.max(initial=0))
@@ -92,7 +99,7 @@ def _result(algorithm: str, g: ColoredGraph, run_seed: int,
 
     return MatchingResult(
         algorithm=algorithm, n=n, m=len(e), q=q, graph_seed=g.seed,
-        run_seed=run_seed, matching=e[taken], edge_ids=taken, mu=len(taken),
+        run_seed=run_seed, matching=matching, edge_ids=taken, mu=len(taken),
         steps_total=t_end, isolated_deletions=t_end - len(taken),
         trajectory=np.stack([np.arange(t_end + 1), alive(n, vertex_step),
                              alive(len(e), death), alive(q, taken_step)], axis=1),
@@ -161,23 +168,25 @@ def run_modified_greedy(g: ColoredGraph, run_seed: int) -> MatchingResult:
     """
     gen = np.random.default_rng(run_seed)
     n, e = g.n_initial, g.edges
-    # edges by their earlier endpoint's turn, then by tie: the place in its list
-    tie = gen.permutation(2 * len(e)).reshape(-1, 2)
+    m = len(e)
+    # edges by their earlier endpoint's turn, then by their place in one
+    # edge permutation, which orders every vertex's list: the scan reads an
+    # edge only at its earlier endpoint, so the lists that are read are
+    # disjoint, each in uniform order, independent of each other and of
+    # the turns. The sort key packs (turn, place) into one int64.
+    perm = gen.permutation(m)
     vertices = gen.permutation(n)
     turn = np.empty(n, dtype=np.int64)
     turn[vertices] = np.arange(n)
-    turns = turn[e[:, :2]]
-    key = turns * tie.size + tie
-    order = np.argsort(np.minimum(key[:, 0], key[:, 1]))
+    earlier = np.minimum(turn[e[:, 0]], turn[e[:, 1]])
+    order = perm[np.sort(earlier[perm] * m + np.arange(m)) % m]
     taken = order[_first_fit(e.take(order, axis=0), n, g.q_total)]
     # a matched edge's later endpoint skips its turn; the edge is matched
     # at the step its earlier endpoint's turn is processed
-    first, second = turns[taken].T
-    earlier, later = np.minimum(first, second), np.maximum(first, second)
     processed = np.ones(n, dtype=bool)
-    processed[later] = False
+    processed[np.maximum(turn[e[taken, 0]], turn[e[taken, 1]])] = False
     return _result("modified", g, run_seed, taken,
-                   processed.cumsum()[earlier], vertices[processed])
+                   processed.cumsum()[earlier[taken]], vertices[processed])
 
 
 def verify_result(g0: ColoredGraph, result: MatchingResult) -> VerifyReport:

@@ -1,13 +1,13 @@
 import math
 import random
+import re
 from collections import Counter
-from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rainbow_greedy.colored_graph import ColoredGraph, _pair_from_index, generate
+from rainbow_greedy.colored_graph import ColoredGraph, generate
 from rainbow_greedy.greedy_engines import run_greedy, run_modified_greedy, verify_result
 from test_engine_law import chi2_critical
 
@@ -82,35 +82,19 @@ class TestGenerate:
         with pytest.raises(ValueError):
             generate(0, 0, 1, seed=0)
 
+    def test_large_vertex_ids(self):
+        # pair keys u * n + v stay exact up to n = 3 * 10^9
+        n = 3 * 10 ** 9
+        u, v, _ = generate(n, 2000, 5, seed=8).edges.T
+        assert (0 <= u).all() and (u < v).all() and (v < n).all()
+        assert len(set(zip(u.tolist(), v.tolist()))) == 2000
+        assert v.max() > 0.99 * n and u.min() < 0.01 * n
+
     def test_dense_path_matches_law_shape(self):
-        # 400 of the 435 pairs: the same sampler covers dense graphs
+        # 400 of the 435 pairs: above half of them, generate chooses m of the listed pairs
         g = generate(30, 400, 10, seed=3)
         assert g.m_initial == 400
         assert len({(min(u, v), max(u, v)) for (u, v, _) in g.edges.tolist()}) == 400
-
-
-class TestPairIndex:
-    def test_bijection_onto_pairs(self):
-        for n in range(2, 61):
-            u, v = _pair_from_index(np.arange(n * (n - 1) // 2))
-            assert sorted(zip(u.tolist(), v.tolist())) == list(combinations(range(n), 2))
-
-    def test_exact_for_a_million_vertices(self):
-        n = 10 ** 6
-        last = n * (n - 1) // 2 - 1
-        u, v = _pair_from_index(np.array([0, 1, 2, last - 1, last]))
-        assert list(zip(u.tolist(), v.tolist())) == [
-            (0, 1), (0, 2), (1, 2), (n - 3, n - 1), (n - 2, n - 1)]
-
-    @pytest.mark.parametrize("n", [10 ** 6, 10 ** 9])
-    def test_exact_either_side_of_row_starts(self, n):
-        # the float square root is least precise at the top of the range;
-        # at n = 10^9 it lands one off and the integer correction decides
-        top = np.arange(n - 2000, n)
-        start = top * (top - 1) // 2
-        u, v = _pair_from_index(np.concatenate([start, start - 1]))
-        assert (u[:2000] == 0).all() and (v[:2000] == top).all()
-        assert (u[2000:] == top - 2).all() and (v[2000:] == top - 1).all()
 
 
 class TestUniformity:
@@ -122,6 +106,31 @@ class TestUniformity:
         assert len(counts) == math.comb(10, 3)
         stat = sum((k - runs / 120) ** 2 / (runs / 120) for k in counts.values())
         assert stat < chi2_critical(119)
+
+    @pytest.mark.parametrize("n, m, runs", [
+        # 6 pairs: draws repeat a pair on 1/6 (m = 2) and 4/9 (m = 3) of
+        # the seeds, which then redraw
+        (4, 2, 6000), (4, 3, 12000),
+        # 3 pairs: 2m above the pair count takes an m-subset in one draw
+        (3, 2, 3000),
+    ])
+    def test_ordered_edge_lists_uniform(self, n, m, runs):
+        # every ordered list of m distinct pairs is equally likely
+        pairs = n * (n - 1) // 2
+        outcomes = math.perm(pairs, m)
+        counts = Counter(tuple(map(tuple, generate(n, m, 1, seed).edges[:, :2].tolist()))
+                         for seed in range(runs))
+        assert len(counts) == outcomes
+        stat = sum((k - runs / outcomes) ** 2 / (runs / outcomes) for k in counts.values())
+        assert stat < chi2_critical(outcomes - 1)
+
+    @pytest.mark.parametrize("n, m", [(4, 4), (4, 6), (7, 12), (7, 21), (30, 435)])
+    def test_dense_and_complete_graphs(self, n, m):
+        # above half the pairs, up to every pair
+        for seed in range(20):
+            u, v, _ = generate(n, m, 3, seed).edges.T
+            assert (u < v).all() and (v < n).all() and (u >= 0).all()
+            assert len(set(zip(u.tolist(), v.tolist()))) == m
 
     def test_colors_uniform(self):
         g = generate(3000, 30000, 7, seed=4)
@@ -284,23 +293,31 @@ class TestEdges:
 
 
 class TestConstruction:
-    def test_rejects_self_loop(self):
-        with pytest.raises(ValueError):
-            ColoredGraph(3, 1, [(1, 1, 1)])
+    @pytest.mark.parametrize("n, q, edges, message", [
+        (3, 1, [(0, 1, 1), (1, 1, 1)], "edge 1 (1, 1, 1): self loop"),
+        (3, 2, [(0, 1, 1), (1, 2, 3)], "edge 1 (1, 2, 3): color outside 1..2"),
+        (3, 2, [(0, 1, 0), (1, 2, 3)], "edge 0 (0, 1, 0): color outside 1..2"),
+        (3, 1, [(0, 1, 1), (0, 3, 1)], "edge 1 (0, 3, 1): endpoint out of range"),
+        (3, 1, [(0, 1, 1), (3, 0, 1)], "edge 1 (3, 0, 1): endpoint out of range"),
+        (3, 1, [(0, 1, 1), (-1, 2, 1)], "edge 1 (-1, 2, 1): endpoint out of range"),
+        (3, 1, [(0, 1, 1), (2, -1, 1)], "edge 1 (2, -1, 1): endpoint out of range"),
+        (3, 1, [(0, 1, 1), (1, 2, 1), (1, 0, 1)], "duplicate edge (0, 1)"),
+    ])
+    def test_names_reason_and_first_bad_edge(self, n, q, edges, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ColoredGraph(n, q, edges)
 
-    def test_rejects_duplicate_edge(self):
-        with pytest.raises(ValueError):
-            ColoredGraph(3, 1, [(0, 1, 1), (1, 0, 1)])
-
-    def test_rejects_bad_color(self):
-        with pytest.raises(ValueError):
-            ColoredGraph(3, 2, [(0, 1, 3)])
-        with pytest.raises(ValueError):
-            ColoredGraph(3, 2, [(0, 1, 0)])
-
-    def test_rejects_endpoint_out_of_range(self):
-        with pytest.raises(ValueError):
-            ColoredGraph(3, 1, [(0, 3, 1)])
+    @pytest.mark.parametrize("edges, message", [
+        # a self loop with a bad color at edge 1, out of range at edge 2
+        ([(0, 1, 1), (2, 2, 5), (0, 3, 1)], "edge 2 (0, 3, 1): endpoint out of range"),
+        # a bad color at edge 0, a self loop at edge 1
+        ([(0, 1, 5), (1, 1, 1)], "edge 1 (1, 1, 1): self loop"),
+        # a bad color and a duplicate
+        ([(0, 1, 1), (1, 0, 1), (1, 2, 0)], "edge 2 (1, 2, 0): color outside 1..2"),
+    ])
+    def test_checks_run_range_then_self_loop_then_color(self, edges, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ColoredGraph(3, 2, edges)
 
     def test_rejects_row_that_is_not_a_triple(self):
         with pytest.raises(ValueError):

@@ -331,26 +331,28 @@ def reference_greedy(g, run_seed):
 
 
 def reference_modified(g, run_seed):
-    """The sequential vertex scan: incidence lists shuffled once, then a
-    uniform vertex permutation; a live vertex takes the first live edge of
-    its list or is deleted as isolated, while edges remain."""
+    """The sequential vertex scan: one uniform edge permutation orders
+    every incidence list, then a uniform vertex permutation gives the
+    turns; a live vertex takes the first live edge of its list or is
+    deleted as isolated, while edges remain."""
     gen, replay = np.random.default_rng(run_seed), Replay(g)
-    n, e = g.n_initial, g.edges
-    ends = e[:, :2].ravel()
-    half = np.argsort(ends * len(ends) + gen.permutation(len(ends)))
-    first = np.concatenate(([0], np.cumsum(np.bincount(ends, minlength=n)))).tolist()
-    other = ends[half ^ 1].tolist()
-    color = e[half // 2, 2].tolist()
+    edges = replay.edges
+    incident = [[] for _ in range(g.n_initial)]
+    for eid in gen.permutation(len(edges)).tolist():
+        u, v, _ = edges[eid]
+        incident[u].append(eid)
+        incident[v].append(eid)
     alive, color_free = replay.vertex_alive, replay.color_free
-    for v in gen.permutation(n).tolist():
+    for v in gen.permutation(g.n_initial).tolist():
         if replay.mu_edges == 0:
             break
         if not alive[v]:
             continue
-        for j in range(first[v], first[v + 1]):
-            w = other[j]
-            if alive[w] and color_free[color[j]]:
-                replay.step((v, w), int(half[j]) // 2)
+        for eid in incident[v]:
+            a, b, color = edges[eid]
+            w = a + b - v
+            if alive[w] and color_free[color]:
+                replay.step((v, w), eid)
                 break
         else:
             replay.step((v,))
