@@ -96,6 +96,14 @@ class TestGenerate:
         assert g.m_initial == 400
         assert len({(min(u, v), max(u, v)) for (u, v, _) in g.edges.tolist()}) == 400
 
+    @pytest.mark.parametrize("n, m", [(4, 4), (4, 6), (7, 12), (7, 21), (30, 435)])
+    def test_dense_and_complete_graphs(self, n, m):
+        # above half the pairs, up to every pair
+        for seed in range(20):
+            u, v, _ = generate(n, m, 3, seed).edges.T
+            assert (u < v).all() and (v < n).all() and (u >= 0).all()
+            assert len(set(zip(u.tolist(), v.tolist()))) == m
+
 
 class TestUniformity:
     def test_edge_sets_uniform(self):
@@ -123,14 +131,6 @@ class TestUniformity:
         assert len(counts) == outcomes
         stat = sum((k - runs / outcomes) ** 2 / (runs / outcomes) for k in counts.values())
         assert stat < chi2_critical(outcomes - 1)
-
-    @pytest.mark.parametrize("n, m", [(4, 4), (4, 6), (7, 12), (7, 21), (30, 435)])
-    def test_dense_and_complete_graphs(self, n, m):
-        # above half the pairs, up to every pair
-        for seed in range(20):
-            u, v, _ = generate(n, m, 3, seed).edges.T
-            assert (u < v).all() and (v < n).all() and (u >= 0).all()
-            assert len(set(zip(u.tolist(), v.tolist()))) == m
 
     def test_colors_uniform(self):
         g = generate(3000, 30000, 7, seed=4)
@@ -292,20 +292,30 @@ class TestEdges:
         array[0, 0] = 3
 
 
+def rejects(n, q, edges, message):
+    """ColoredGraph(n, q, edges) raises ValueError with exactly message."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ColoredGraph(n, q, edges)
+
+
 class TestConstruction:
-    @pytest.mark.parametrize("n, q, edges, message", [
-        (3, 1, [(0, 1, 1), (1, 1, 1)], "edge 1 (1, 1, 1): self loop"),
-        (3, 2, [(0, 1, 1), (1, 2, 3)], "edge 1 (1, 2, 3): color outside 1..2"),
-        (3, 2, [(0, 1, 0), (1, 2, 3)], "edge 0 (0, 1, 0): color outside 1..2"),
-        (3, 1, [(0, 1, 1), (0, 3, 1)], "edge 1 (0, 3, 1): endpoint out of range"),
-        (3, 1, [(0, 1, 1), (3, 0, 1)], "edge 1 (3, 0, 1): endpoint out of range"),
-        (3, 1, [(0, 1, 1), (-1, 2, 1)], "edge 1 (-1, 2, 1): endpoint out of range"),
-        (3, 1, [(0, 1, 1), (2, -1, 1)], "edge 1 (2, -1, 1): endpoint out of range"),
-        (3, 1, [(0, 1, 1), (1, 2, 1), (1, 0, 1)], "duplicate edge (0, 1)"),
-    ])
-    def test_names_reason_and_first_bad_edge(self, n, q, edges, message):
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            ColoredGraph(n, q, edges)
+    # each message names the reason and the first edge that fails the check
+    def test_rejects_self_loop(self):
+        rejects(3, 1, [(0, 1, 1), (1, 1, 1), (2, 2, 1)], "edge 1 (1, 1, 1): self loop")
+
+    def test_rejects_duplicate_edge(self):
+        rejects(3, 1, [(0, 1, 1), (1, 2, 1), (1, 0, 1)], "duplicate edge (0, 1)")
+
+    def test_rejects_bad_color(self):
+        rejects(3, 2, [(0, 1, 1), (1, 2, 3)], "edge 1 (1, 2, 3): color outside 1..2")
+        rejects(3, 2, [(0, 1, 0), (1, 2, 3)], "edge 0 (0, 1, 0): color outside 1..2")
+
+    def test_rejects_endpoint_out_of_range(self):
+        rejects(3, 1, [(0, 1, 1), (0, 3, 1)], "edge 1 (0, 3, 1): endpoint out of range")
+        rejects(3, 1, [(0, 1, 1), (3, 0, 1)], "edge 1 (3, 0, 1): endpoint out of range")
+        rejects(3, 1, [(0, 1, 1), (-1, 2, 1)], "edge 1 (-1, 2, 1): endpoint out of range")
+        rejects(3, 1, [(0, 1, 1), (2, -1, 1), (0, 4, 1)],
+                "edge 1 (2, -1, 1): endpoint out of range")
 
     @pytest.mark.parametrize("edges, message", [
         # a self loop with a bad color at edge 1, out of range at edge 2
@@ -316,8 +326,7 @@ class TestConstruction:
         ([(0, 1, 1), (1, 0, 1), (1, 2, 0)], "edge 2 (1, 2, 0): color outside 1..2"),
     ])
     def test_checks_run_range_then_self_loop_then_color(self, edges, message):
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            ColoredGraph(3, 2, edges)
+        rejects(3, 2, edges, message)
 
     def test_rejects_row_that_is_not_a_triple(self):
         with pytest.raises(ValueError):
