@@ -19,10 +19,7 @@ from .ode_theory import (
     OdeTrajectory,
     IntegrationFailure,
     integrate_greedy,
-    m_closed_half,
     tau0_closed_half,
-    f_kappa,
-    m_closed_general,
     tau0_general,
     integrate_modified,
     modified_upper_bound,
@@ -31,12 +28,9 @@ from .asymptotics import (
     Bracket,
     RegimeError,
     near_half_alpha,
-    near_half_alpha_series,
     tau0_near_half,
     tau0_large_kappa,
     tau0_small_kappa_bounds,
-    epsilon_kappa,
-    large_kappa_leading_estimate,
 )
 from .experiment_harness import (
     ExperimentConfig,

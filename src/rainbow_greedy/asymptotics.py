@@ -1,8 +1,11 @@
 """Regime-specific brackets for the edge-greedy stopping time tau0.
 
-tau0 is the first zero of f_kappa (see ode_theory). Three parameter regimes
-admit two-sided elementary bounds, each obtained by a change of variables
-that turns the stopping condition into a perturbed fixed-point equation:
+tau0 is the first zero of the factor of the closed-form M that carries
+its sign (see ode_theory), f(tau) = c (2 kappa - 1)^2 / (2 kappa) +
+log((kappa - tau) / (kappa (1 - 2 tau))) - 2 (2 kappa - 1) tau / (1 - 2 tau).
+Three parameter regimes admit two-sided elementary bounds, each obtained
+by a change of variables that turns the stopping condition into a
+perturbed fixed-point equation:
 
 * near half color density: substitute h = (2 kappa - 1)/(1 - 2 tau); the
   stopping condition becomes h - log(1 + h) = alpha with alpha -> 0 as
@@ -60,28 +63,17 @@ class Bracket:
     def contains(self, x: float) -> bool:
         return self.lower <= x <= self.upper
 
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
-
 
 def near_half_alpha(params: TheoryParams) -> float:
     """Constant term of the transformed stopping condition near kappa = 1/2:
     c (2 kappa - 1)^2 / (2 kappa) + log(1/(2 kappa)) + (2 kappa - 1).
 
-    Vanishes quadratically at kappa = 1/2 (see near_half_alpha_series).
+    Vanishes quadratically at kappa = 1/2: to leading order it is
+    eps^2 (c + 1/2) - eps^3 (c + 1/3) with eps = 2 kappa - 1.
     """
     c, kap = params.c, params.kappa
     e = 2.0 * kap - 1.0
     return c * e * e / (2.0 * kap) + math.log(1.0 / (2.0 * kap)) + e
-
-
-def near_half_alpha_series(params: TheoryParams) -> float:
-    """Leading expansion of near_half_alpha in eps = 2 kappa - 1:
-    eps^2 (c + 1/2) - eps^3 (c + 1/3)."""
-    c = params.c
-    e = 2.0 * params.kappa - 1.0
-    return e * e * (c + 0.5) - e ** 3 * (c + 1.0 / 3.0)
 
 
 def tau0_near_half(params: TheoryParams) -> Bracket:
@@ -181,19 +173,3 @@ def tau0_small_kappa_bounds(params: TheoryParams) -> Bracket:
     return Bracket(lower=lower, upper=upper, estimate=upper,
                    regime="small-kappa")
 
-
-def epsilon_kappa(params: TheoryParams) -> float:
-    """First-order color-finiteness correction in the large-kappa regime:
-    log(c + 1)/(2 kappa - 1) - c/(2 kappa). Vanishes as kappa -> infinity."""
-    c, kap = params.c, params.kappa
-    return math.log(c + 1.0) / (2.0 * kap - 1.0) - c / (2.0 * kap)
-
-
-def large_kappa_leading_estimate(params: TheoryParams) -> float:
-    """Explicit leading form of tau0 for many colors:
-    (1 - 1/(c + 1 + epsilon_kappa)) / 2.
-
-    A readability companion to the bracket, not guaranteed to land inside
-    it (the bracket's own estimate is)."""
-    c = params.c
-    return 0.5 * (1.0 - 1.0 / (c + 1.0 + epsilon_kappa(params)))

@@ -258,14 +258,15 @@ def _cmd_conjecture(args) -> int:
         algorithms=("greedy", "modified"), reps=args.reps,
         master_seed=args.seed)
     rows, _ = run_monte_carlo(cfg)
-    report = check_conjecture(rows)
+    cells = check_conjecture(rows)
     with _table(CONJECTURE_COLUMNS, args) as write:
-        write([asdict(r) for r in report.rows])
-    for v in report.violations:
+        write([asdict(r) for r in cells])
+    violations = [r for r in cells if r.status == "violation"]
+    for v in violations:
         _note(f"violation at (c={v.c}, kappa={v.kappa}, n={v.n}): greedy "
               f"{v.mean_greedy:.4f} beats modified {v.mean_modified:.4f} "
               f"beyond margin {v.margin:.4f}")
-    if args.check and report.violations:
+    if args.check and violations:
         return 1
     return 0
 

@@ -37,7 +37,7 @@ import math
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from statistics import fmean, stdev
 
 from .colored_graph import generate
@@ -562,25 +562,18 @@ class ConjectureRow:
     status: str     # "consistent with conjecture" | "inconclusive (margin)" | "violation"
 
 
-@dataclass
-class ConjectureReport:
-    rows: list[ConjectureRow]
-    violations: list[ConjectureRow] = field(default_factory=list)
-
-
-def check_conjecture(rows: list[AggregateRow]) -> ConjectureReport:
+def check_conjecture(rows: list[AggregateRow]) -> list[ConjectureRow]:
     """Test whether the modified process matches at least as much as the
     plain greedy on every cell of a sweep's aggregate rows.
 
-    A cell with a row for only one algorithm is skipped. A cell is a
-    violation only when greedy beats modified by more than 3 pooled
-    standard errors.
+    Returns one row per cell, sorted by (c, kappa, n). A cell with a row
+    for only one algorithm is skipped. A cell is a violation only when
+    greedy beats modified by more than 3 pooled standard errors.
     """
     by_cell: dict[tuple[float, float, int], dict[str, AggregateRow]] = {}
     for r in rows:
         by_cell.setdefault((r.c, r.kappa, r.n), {})[r.algorithm] = r
     out = []
-    violations = []
     for (c, kappa, n), pair in sorted(by_cell.items()):
         if "greedy" not in pair or "modified" not in pair:
             continue
@@ -593,14 +586,11 @@ def check_conjecture(rows: list[AggregateRow]) -> ConjectureReport:
             status = "consistent with conjecture"
         else:
             status = "inconclusive (margin)"
-        row = ConjectureRow(c=c, kappa=kappa, n=n,
-                            mean_greedy=g.mean_mu_over_n,
-                            mean_modified=mg.mean_mu_over_n,
-                            diff=diff, margin=margin, status=status)
-        out.append(row)
-        if status == "violation":
-            violations.append(row)
-    return ConjectureReport(rows=out, violations=violations)
+        out.append(ConjectureRow(c=c, kappa=kappa, n=n,
+                                 mean_greedy=g.mean_mu_over_n,
+                                 mean_modified=mg.mean_mu_over_n,
+                                 diff=diff, margin=margin, status=status))
+    return out
 
 
 # -- theory and asymptotics reports --------------------------------------------

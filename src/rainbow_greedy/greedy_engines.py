@@ -180,6 +180,7 @@ def run_modified_greedy(g: ColoredGraph, run_seed: int) -> MatchingResult:
     turn[vertices] = np.arange(n)
     earlier = np.minimum(turn[e[:, 0]], turn[e[:, 1]])
     order = perm[np.sort(earlier[perm] * m + np.arange(m)) % m]
+    del perm   # m int64, dead here; not held through _first_fit
     taken = order[_first_fit(e.take(order, axis=0), n, g.q_total)]
     # a matched edge's later endpoint skips its turn; the edge is matched
     # at the step its earlier endpoint's turn is processed

@@ -7,9 +7,15 @@ average initial degree c = 2m/n.
 Edge greedy:
     M' = -1 - 4M/(1 - 2 tau) - M/(kappa - tau),  M(0) = c/2.
 The process dies at tau0, the first zero of M, and matches tau0 * n + o(n)
-edges. At kappa = 1/2 the solution is the cubic in m_closed_half; away from
-1/2 it factors as m_closed_general = prefactor * f_kappa where the sign
-lives entirely in f_kappa.
+edges. At kappa = 1/2 the solution is the cubic
+    M = ((2c + 1)(1 - 2 tau)^3 - (1 - 2 tau)) / 4,
+so tau0 = (1 - 1/sqrt(2c + 1)) / 2. Away from 1/2 it factors as
+    M = (kappa - tau)(1 - 2 tau)^2 / (2 kappa - 1)^2 * f(tau),
+    f(tau) = c (2 kappa - 1)^2 / (2 kappa)
+             + log((kappa - tau) / (kappa (1 - 2 tau)))
+             - 2 (2 kappa - 1) tau / (1 - 2 tau),
+where the prefactor is positive on [0, min(1/2, kappa)), so the sign of M
+lives entirely in f.
 
 Vertex greedy (modified): with lambda = 2M/N the pair (M, N) evolves as
     M' = lambda (e^-lambda - 2) - M (1 - e^-lambda) / (N + tau + kappa - 1)
@@ -53,11 +59,9 @@ class TheoryParams:
 
 @dataclass(eq=False)
 class OdeTrajectory:
-    kind: str                # "greedy" or "modified"
     taus: np.ndarray
     values: np.ndarray       # M for greedy, N for modified
     tau0: float
-    step: float
     mu_over_n: float         # tau0 for greedy, 1 - tau0 for modified
 
 
@@ -188,64 +192,35 @@ def integrate_greedy(params: TheoryParams,
         tau, m = float(t[-1]), float(ms[-1])
 
     tau0, m0 = _last_step_zero(rhs, tau, m, step, nxt)
-    return OdeTrajectory(kind="greedy",
-                         taus=np.concatenate([[0.0], *taus, [tau0]]),
+    return OdeTrajectory(taus=np.concatenate([[0.0], *taus, [tau0]]),
                          values=np.concatenate([[c / 2.0], *vals, [m0]]),
-                         tau0=tau0, step=step, mu_over_n=tau0)
-
-
-def m_closed_half(tau: float, c: float) -> float:
-    """Closed-form M(tau) at color density kappa = 1/2."""
-    s = 1.0 - 2.0 * tau
-    return ((2.0 * c + 1.0) * s ** 3 - s) / 4.0
+                         tau0=tau0, mu_over_n=tau0)
 
 
 def tau0_closed_half(c: float) -> float:
-    """First zero of m_closed_half: (1 - 1/sqrt(2c + 1)) / 2."""
+    """First zero of M at kappa = 1/2: (1 - 1/sqrt(2c + 1)) / 2."""
     if c < 0:
         raise ValueError(f"c must be nonnegative, got {c}")
     return 0.5 * (1.0 - 1.0 / math.sqrt(2.0 * c + 1.0))
 
 
-def f_kappa(tau: float, c: float, kappa: float) -> float:
-    """Sign-carrying factor of the general closed form for M.
-
-    m_closed_general(tau) = (kappa - tau)(1 - 2 tau)^2 / (2 kappa - 1)^2
-                            * f_kappa(tau),
-    so M and f_kappa vanish together; tau0_general solves f_kappa = 0
-    because it stays well-scaled where the prefactor crushes M to zero.
-    """
-    if abs(2.0 * kappa - 1.0) < HALF_CROSSOVER:
-        raise ValueError("kappa is inside the half-density crossover; use "
-                         "m_closed_half")
-    if not 0 <= tau < min(0.5, kappa):
-        raise ValueError(f"tau={tau} outside [0, min(1/2, kappa))")
-    e = 2.0 * kappa - 1.0
-    return (c * e * e / (2.0 * kappa)
-            + math.log((kappa - tau) / (kappa * (1.0 - 2.0 * tau)))
-            - 2.0 * e * tau / (1.0 - 2.0 * tau))
-
-
-def m_closed_general(tau: float, c: float, kappa: float) -> float:
-    """Closed-form M(tau) for kappa away from 1/2."""
-    e = 2.0 * kappa - 1.0
-    pref = (kappa - tau) * (1.0 - 2.0 * tau) ** 2 / (e * e)
-    return pref * f_kappa(tau, c, kappa)
-
-
 def tau0_general(params: TheoryParams) -> float:
-    """First positive zero of M via the closed form, to full float precision.
+    """First positive zero of M via the closed form, to full float precision
+    unless the zero z* below is close to 1.
 
-    In the gap variable z = (kappa - tau) / (kappa (1 - 2 tau)), with
-    tau = kappa (1 - z) / (1 - 2 z kappa), f_kappa is
+    M has the sign of f (module docstring). In the gap variable
+    z = (kappa - tau) / (kappa (1 - 2 tau)), with
+    tau = kappa (1 - z) / (1 - 2 z kappa), f is
         g(z) = log z + 2 kappa (1 - z) + c (2 kappa - 1)^2 / (2 kappa),
-    and g(1) = f_kappa(0) > 0. For kappa < 1/2, z falls from 1 to 0 as tau
+    and g(1) = f(0) > 0. For kappa < 1/2, z falls from 1 to 0 as tau
     runs to kappa, and g increases on (0, 1]; for kappa > 1/2, z grows
     without bound as tau runs to 1/2, and g decreases on [1, inf). So g has
     one zero, which a bisection in z finds down to adjacent floats. When
     colors are scarce that zero is below float resolution and tau0 rounds
     to kappa. Near kappa = 1/2 this delegates to the exact half-density
-    formula.
+    formula. The last float in z costs tau0 a relative ulp(z*) kappa
+    (1 - 2 tau0)^2 / (tau0 |2 kappa - 1|), large where z* is close to 1:
+    for small c (about 2 kappa eps / (c |2 kappa - 1|)) and near 1/2.
 
     When c (2 kappa - 1)^2 / (2 kappa) overflows, kappa > 1/2 bisects
     g / (2 kappa) instead, whose terms stay finite: tau0 tends to 1/2 as c
@@ -376,8 +351,8 @@ def integrate_modified(params: TheoryParams,
     if not 0.5 - 1e-6 <= tau0 <= 1.0 + 1e-6:
         raise IntegrationFailure(f"tau0={tau0} outside [1/2, 1] for {params}")
 
-    return OdeTrajectory(kind="modified", taus=t_arr, values=n_arr,
-                         tau0=tau0, step=step, mu_over_n=1.0 - tau0)
+    return OdeTrajectory(taus=t_arr, values=n_arr, tau0=tau0,
+                         mu_over_n=1.0 - tau0)
 
 
 def _modified_default_step(c: float, kappa: float) -> float:
@@ -516,22 +491,3 @@ def modified_upper_bound(c: float) -> float:
     r = math.expm1(-c) / c
     return (1.0 + r) / (2.0 + r)
 
-
-def convexity_second_differences(traj: OdeTrajectory, kappa: float,
-                                 samples: int = 500) -> np.ndarray:
-    """Raw second differences of F = N * Q along a modified trajectory.
-
-    Subsamples the uniform part of the grid (the refined final point is
-    dropped) so the differences are taken at equal tau spacing. F convex
-    means these are nonnegative up to discretization noise.
-    """
-    taus = traj.taus[:-1]
-    nvals = traj.values[:-1]
-    if len(taus) < 3:
-        return np.empty(0)
-    stride = max(1, len(taus) // samples)   # uniform spacing, or the second
-    idx = np.arange(0, len(taus), stride)   # differences pick up slope terms
-    t = taus[idx]
-    nv = nvals[idx]
-    f = nv * (nv + t + kappa - 1.0)
-    return f[2:] - 2.0 * f[1:-1] + f[:-2]

@@ -417,20 +417,19 @@ class TestConjecture:
     def test_report_structure(self):
         rows, _ = run_monte_carlo(small_cfg(n_values=(3000,), reps=6))
         report = check_conjecture(rows)
-        assert len(report.rows) == 1
-        row = report.rows[0]
+        assert len(report) == 1
+        row = report[0]
         assert row.status in ("consistent with conjecture",
                               "inconclusive (margin)", "violation")
         assert row.margin > 0
         assert row.diff == pytest.approx(row.mean_modified - row.mean_greedy,
                                          abs=1e-15)
-        assert not report.violations
-        assert check_conjecture(rows).rows == report.rows
+        assert row.status != "violation"
+        assert check_conjecture(rows) == report
 
     def test_one_algorithm_gives_no_rows(self):
         rows, _ = run_monte_carlo(small_cfg(algorithms=("greedy",)))
-        report = check_conjecture(rows)
-        assert report.rows == [] and report.violations == []
+        assert check_conjecture(rows) == []
 
     @staticmethod
     def agg(algorithm, mean, n=1000):
@@ -451,20 +450,19 @@ class TestConjecture:
     def test_status_from_pooled_margin(self, diff, status):
         report = check_conjecture([self.agg("greedy", 0.2),
                                    self.agg("modified", 0.2 + diff)])
-        (row,) = report.rows
+        (row,) = report
         assert row.margin == pytest.approx(0.015, abs=1e-15)
         assert row.diff == pytest.approx(diff, abs=1e-15)
         assert row.status == status
-        assert report.violations == ([row] if status == "violation" else [])
 
     def test_one_row_per_cell_sorted_by_n(self):
         rows = [self.agg("modified", 0.25, n=2000), self.agg("greedy", 0.2, n=500),
                 self.agg("greedy", 0.2, n=2000), self.agg("modified", 0.25, n=500),
                 self.agg("greedy", 0.2, n=8000)]
         report = check_conjecture(rows)
-        assert [r.n for r in report.rows] == [500, 2000]
+        assert [r.n for r in report] == [500, 2000]
         assert all(r.mean_greedy == 0.2 and r.mean_modified == 0.25
-                   for r in report.rows)
+                   for r in report)
 
 
 class TestTheoryReport:
@@ -621,6 +619,20 @@ class TestCli:
         assert rc == 0
         out = capsys.readouterr().out
         assert out.startswith("c,kappa,n,mean_greedy")
+
+    @pytest.mark.parametrize("check, rc", [(False, 0), (True, 1)])
+    def test_conjecture_reports_a_violation(self, monkeypatch, capsys, check, rc):
+        # greedy beats modified by 0.02 at n = 500, beyond the 0.015 margin
+        rows = [TestConjecture.agg("greedy", 0.2, n=500),
+                TestConjecture.agg("modified", 0.18, n=500)]
+        monkeypatch.setattr(rainbow_greedy.cli, "run_monte_carlo",
+                            lambda cfg: (rows, []))
+        args = ["conjecture", "--c", "1", "--kappa", "0.5", "--n", "500"]
+        assert main(args + ["--check"] * check) == rc
+        out, err = capsys.readouterr()
+        assert out.splitlines()[1].endswith(",violation")
+        assert err == ("violation at (c=1.0, kappa=0.5, n=500): greedy 0.2000 "
+                       "beats modified 0.1800 beyond margin 0.0150\n")
 
     @pytest.mark.parametrize("command", ["simulate", "conjecture"])
     @pytest.mark.parametrize("bad", [["--n", "0"], ["--n", "99"],

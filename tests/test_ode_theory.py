@@ -12,12 +12,8 @@ from rainbow_greedy.ode_theory import (
     IntegrationFailure,
     OdeTrajectory,
     TheoryParams,
-    convexity_second_differences,
-    f_kappa,
     integrate_greedy,
     integrate_modified,
-    m_closed_general,
-    m_closed_half,
     modified_upper_bound,
     tau0_closed_half,
     tau0_general,
@@ -26,6 +22,12 @@ from rainbow_greedy.asymptotics import tau0_small_kappa_bounds
 from rainbow_greedy.colored_graph import generate
 from rainbow_greedy.experiment_harness import theory_mu_over_n
 from rainbow_greedy.greedy_engines import run_greedy, run_modified_greedy
+from theory_oracles import (
+    convexity_second_differences,
+    f_kappa,
+    m_closed_general,
+    m_closed_half,
+)
 
 # First zeros computed two independent ways (bisection on the closed form
 # and the z-space fixed-point iteration in _tau0_fixed_point below) before
@@ -52,6 +54,52 @@ TAU0_NEAR_HALF = {
     (3.0, 0.501): 0.3111707673729272,
     (5.0, 0.501): 0.3494309972342988,
     (8.0, 0.501): 0.3789460057988915,
+}
+
+# First zeros of f_kappa in [0, min(1/2, kappa)), computed once with mpmath
+# 1.3.0 at 60 digits (bisection of g(z) = log z + 2 kappa (1 - z) +
+# c (2 kappa - 1)^2 / (2 kappa) in log z, mapped back through
+# tau = kappa (1 - z) / (1 - 2 z kappa)) and frozen here, rounded to the
+# nearest float. On these cells z* is far enough from 1 that tau0_general
+# has full float precision: kappa < 1/2, kappa > 1/2, and the last five
+# cells, where c (2 kappa - 1)^2 / (2 kappa) overflows.
+TAU0_MPMATH_FULL = {
+    (1.0, 0.3): 0.18634764131103723,
+    (3.0, 0.1): 0.09999556377364682,
+    (0.5, 0.05): 0.04928835664358934,
+    (6.0, 0.075): 0.07499999999998458,
+    (20.0, 0.02): 0.02,
+    (2.0, 0.45): 0.26943242669691636,
+    (1.0, 1.0): 0.2306648238750063,
+    (3.0, 2.0): 0.3615565064717692,
+    (3.0, 10.0): 0.3724457434888862,
+    (5.0, 0.7): 0.373775709567422,
+    (0.5, 2.0): 0.1614599436781889,
+    (50.0, 20.0): 0.48996982824961877,
+    (1e6, 3.0): 0.4999994000026569,
+    (20.0, 1e5): 0.47619038007063724,
+    (0.5, 1e200): 0.16666666666666666,
+    (3.0, 1e160): 0.375,
+    (1e5, 1e152): 0.4999950000499995,
+    (1e10, 1e150): 0.49999999995,
+    (1e308, 10.0): 0.5,
+}
+
+# The same, where z* is within about c |2 kappa - 1| / (2 kappa) of 1 and
+# tau0_general loses relative precision: small c (the last cell through
+# the overflowing-base branch) and kappa next to the crossover.
+TAU0_MPMATH_LOSS = {
+    (1e-3, 0.7): 0.000499322445676975,
+    (1e-6, 0.7): 4.999993214295901e-07,
+    (1e-9, 0.7): 4.999999993214286e-10,
+    (1e-12, 0.7): 4.999999999993214e-13,
+    (1e-3, 0.2): 0.0004988776808062326,
+    (1e-9, 0.2): 4.999999988750001e-10,
+    (0.5, 0.499): 0.14640783010236255,
+    (0.5, 0.501): 0.1464852413966537,
+    (8.0, 0.501): 0.3789460057988915,
+    (1.0, 0.4998): 0.2113095127728174,
+    (1e-5, 1e200): 4.999950000499995e-06,
 }
 
 # The cells of the 40 x 60 log grid over c in [0.05, 20] x kappa in
@@ -147,7 +195,7 @@ class TestIntegrateGreedy:
     def test_default_step(self):
         p = TheoryParams(1.0, 0.7)
         got, want = integrate_greedy(p), integrate_greedy(p, step=1e-5)
-        assert got.step == 1e-5
+        assert got.taus[1] == 1e-5
         assert np.array_equal(got.values, want.values)
 
 
@@ -216,6 +264,32 @@ class TestTau0General:
     def test_near_half_against_frozen_roots(self):
         for (c, kappa), want in TAU0_NEAR_HALF.items():
             assert tau0_general(TheoryParams(c, kappa)) == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("c, kappa", TAU0_MPMATH_FULL)
+    def test_full_float_precision(self, c, kappa):
+        want = TAU0_MPMATH_FULL[c, kappa]
+        got = tau0_general(TheoryParams(c, kappa))
+        assert abs(got - want) <= 2 * math.ulp(want)
+
+    @pytest.mark.parametrize("c, kappa", TAU0_MPMATH_LOSS)
+    def test_precision_loss_is_bounded(self, c, kappa):
+        # The bisection stops at adjacent floats in z, so z carries an error
+        # of ulp(z*), and tau = kappa (1 - z) / (1 - 2 z kappa) turns it into
+        # a relative error of ulp(z*) * L with
+        #     L = kappa (1 - 2 tau0)^2 / (tau0 |2 kappa - 1|).
+        # L is large where z* is close to 1: for small c, where tau0 ~ c/2
+        # and L ~ 2 kappa / (c |2 kappa - 1|), about 3.5 eps / c at
+        # kappa = 0.7 (1e-16/c and more), and next to the crossover.
+        # Rounding in g and in the map adds a few eps and, where
+        # 1 - 2 z kappa cancels, eps |kappa - tau0| / |2 kappa - 1|.
+        want = TAU0_MPMATH_LOSS[c, kappa]
+        got = tau0_general(TheoryParams(c, kappa))
+        eps = 2.0 ** -52
+        z = (kappa - want) / (kappa * (1.0 - 2.0 * want))
+        loss = kappa * (1.0 - 2.0 * want) ** 2 / (want * abs(2.0 * kappa - 1.0))
+        bound = (math.ulp(z) * loss
+                 + eps * (4.0 + abs(kappa - want) / abs(2.0 * kappa - 1.0)))
+        assert abs(got - want) <= bound * want
 
     @pytest.mark.parametrize("c, kappa, want", [
         (1.0, 1e200, 0.25), (1.0, 1e308, 0.25),   # kappa -> inf: c / (2 (c + 1))
@@ -353,6 +427,35 @@ class TestIntegrateModified:
             assert d2.min() >= -1e-6
 
 
+# Zeros of the reduced modified ODE N' = e^(-(c/kappa) N (N + tau + kappa - 1))
+# - 2, N(0) = 1, computed once with mpmath 1.3.0 at 30 digits and frozen
+# here, rounded to the nearest float: Taylor series (mpmath's ode_taylor)
+# with each step capped at min(1e-2, kappa/c), the zero found on the last
+# series polynomial. The cap keeps the series' radius estimate from
+# stepping over the layer where e^-lambda turns on, as odefun alone does
+# at (2000, 1/2). odefun agrees to 22 digits on the first four cells, and
+# halving the cap changes no digit at (2000, 1/2).
+MODIFIED_TAU0_MPMATH = {
+    (1.0, 0.5): 0.7841612534901526,
+    (5.0, 0.5): 0.6390079138065663,
+    (3.0, 0.1): 0.9000021648029064,
+    (0.5, 2.0): 0.8369465873549755,
+    (2000.0, 0.5): 0.5069555194056007,   # stiff: default step kappa/c = 2.5e-4
+    (8.0, 0.05): 0.95,                   # color-starved: mu/n = kappa
+    (20.0, 0.005): 0.995,                # both
+}
+
+
+@pytest.mark.parametrize("c, kappa", MODIFIED_TAU0_MPMATH)
+def test_integrate_modified_against_mpmath(c, kappa):
+    # The last step is bisected until |N| < 1e-10, and N' = e^0 - 2 = -1 at
+    # the zero, so that leaves tau0 within 1e-10 of the RK4 run's zero; the
+    # RK4 error at the default step gets as much again. The default step
+    # is 2.1e-11 to 6.0e-11 off on these cells.
+    got = integrate_modified(TheoryParams(c, kappa)).tau0
+    assert abs(got - MODIFIED_TAU0_MPMATH[c, kappa]) <= 2e-10
+
+
 class TestDefaultStep:
     """integrate_modified's default step, min(1e-3, kappa/c), on a 40 x 40
     log grid over c in [0.05, 20] x kappa in [0.005, 20]."""
@@ -366,7 +469,7 @@ class TestDefaultStep:
     def test_grid(self):
         trajs = {cell: integrate_modified(TheoryParams(*cell)) for cell in self.GRID}
         for (c, kappa), traj in trajs.items():
-            assert traj.step == max(1e-6, min(1e-3, kappa / c))
+            assert traj.taus[1] == max(1e-6, min(1e-3, kappa / c))
         # a flat 1e-3 fails the residual check on exactly these four
         stiffest = sorted(trajs, key=lambda cell: cell[0] / cell[1])[-4:]
         assert all(c / kappa > 2780 for c, kappa in stiffest)
@@ -388,7 +491,7 @@ class TestDefaultStep:
 
     def test_floor(self):
         # kappa/c = 5e-7 is below the smallest step allowed
-        assert integrate_modified(TheoryParams(1000.0, 0.0005)).step == 1e-6
+        assert integrate_modified(TheoryParams(1000.0, 0.0005)).taus[1] == 1e-6
 
 
 class TestUpperBound:
@@ -474,8 +577,8 @@ def _greedy_loop(params, step):
         taus.append(tau)
         vals.append(m)
     tau0, m0 = _bisect_last_step(rhs, tau, m, step, nxt)
-    return OdeTrajectory(kind="greedy", taus=np.array(taus + [tau0]),
-                         values=np.array(vals + [m0]), tau0=tau0, step=step,
+    return OdeTrajectory(taus=np.array(taus + [tau0]),
+                         values=np.array(vals + [m0]), tau0=tau0,
                          mu_over_n=tau0)
 
 
@@ -511,8 +614,8 @@ def _modified_loop(params, step):
             f"for params {params}")
     if not 0.5 - 1e-6 <= tau0 <= 1.0 + 1e-6:
         raise IntegrationFailure(f"tau0={tau0} outside [1/2, 1] for {params}")
-    return OdeTrajectory(kind="modified", taus=t_arr, values=n_arr, tau0=tau0,
-                         step=step, mu_over_n=1.0 - tau0)
+    return OdeTrajectory(taus=t_arr, values=n_arr, tau0=tau0,
+                         mu_over_n=1.0 - tau0)
 
 
 def _tau0_scan(params):
@@ -568,7 +671,6 @@ def assert_same_as_loop(integrate, loop, params, step):
         assert str(got.value) == str(exc)
         return type(exc)
     got = integrate(params, step=step)
-    assert (got.kind, got.step) == (want.kind, want.step)
     assert np.array_equal(got.taus, want.taus)
     assert got.values.shape == want.values.shape
     assert np.max(np.abs(got.values - want.values)) <= 1e-12
@@ -625,8 +727,9 @@ def test_integrate_modified_at_default_step_or_above_is_the_loop(step):
         for kappa in GRID_KAPPA:
             p = TheoryParams(c, kappa)
             got = integrate_modified(p, step=step)
-            want = _modified_loop(p, got.step)
-            assert got.step == (max(1e-6, min(1e-3, kappa / c)) if step is None else step)
+            used = max(1e-6, min(1e-3, kappa / c)) if step is None else step
+            want = _modified_loop(p, used)
+            assert got.taus[1] == used
             assert np.array_equal(got.taus, want.taus)
             assert np.array_equal(got.values, want.values)
             assert got.tau0 == want.tau0
