@@ -105,12 +105,16 @@ _REP_NS = {"greedy": (243, 12, 7), "modified": (308, 104, 8)}
 _REP_BYTES = {"greedy": (66, 16, 10), "modified": (64, 110, 8)}
 _TASK_S = 3e-4   # fixed cost of a task, rep or theory cell
 # A theory cell costs per RK4 step: 850 ns in the modified scalar loop,
-# 145 ns in its Newton refinement and 45 ns in integrate_greedy, and its
-# tracemalloc peak is at most 160 B per step of the longest of the three
-# runs; against 6 c x 8 kappa cells plus stiff ones at steps 1e-3 ... 1e-6,
-# the time reads 0.4-1.5x and the peak at most 0.92x of the estimate.
-_ODE_NS = (850, 145, 45)
-_ODE_BYTES_PER_STEP = 160
+# 100 ns in its Newton refinement and 45 ns in integrate_greedy, and its
+# tracemalloc peak is about 20 B per step of the longest of the three
+# runs. Against 6 c x 8 kappa cells plus stiff and color-starved ones at
+# the default step and at 1e-3 ... 1e-6, the time of a cell that
+# integrates reads 0.4-1.8x of the estimate (refined cells 0.6-1.8x,
+# median 1.0 at 1e-5 and 1e-6); the peak reads 0.55-0.83x at 10^5 steps
+# or more, while below 10^4 steps block-long arrays of up to 0.5 MB
+# exceed the estimate.
+_ODE_NS = (850, 100, 45)
+_ODE_BYTES_PER_STEP = 20
 
 # A fork pool of 2 workers takes 9-10 ms to start, run two trivial tasks
 # and stop (median of 20 cycles, three runs: 9.2-9.9 ms, quartiles

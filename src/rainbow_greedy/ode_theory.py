@@ -35,6 +35,7 @@ the root tolerance.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,7 +90,7 @@ def _grid(start: float, steps: int, step: float) -> np.ndarray:
     bit for bit: cumsum adds in order."""
     t = np.full(steps + 1, step)
     t[0] = start
-    return np.cumsum(t)
+    return np.cumsum(t, out=t)
 
 
 def _rk4(rhs, t, y, h):
@@ -284,11 +285,14 @@ def integrate_modified(params: TheoryParams,
     most c/kappa + c, and explicit RK4 diverges once the step times that
     slope exceeds about 2.78.
 
-    A scalar loop takes the steps at max(step, default). A step below the
-    default is not stepped through one at a time: _refine_modified solves
-    its recurrence from that coarse run by blocked Newton. Its values are
-    within 1e-12 of the scalar loop's at that step on the test grid, and
-    the taus are the same.
+    A scalar loop takes the steps at max(step, default), holding its
+    values at 8 bytes a step. A step below the default is not stepped
+    through one at a time: _refine_modified solves its recurrence from
+    that coarse run by blocked Newton. Its values are within 1e-12 of the
+    scalar loop's at that step on the test grid, and the taus are the
+    same. Either way the integral-form residual below is accumulated block
+    by block, and the returned taus and values are the only arrays as long
+    as the trajectory.
 
     Raises IntegrationFailure if N has no zero by tau = 1.2 (the step is
     too coarse for the stiffness c/kappa), if e^-lambda overflows in an RK4
@@ -296,68 +300,122 @@ def integrate_modified(params: TheoryParams,
     the equivalent integral form N = 1 - 2 tau + integral of e^-lambda by
     more than 10 * step, or if tau0 leaves [1/2, 1].
     """
-    c, kap = params.c, params.kappa
-    default = _modified_default_step(c, kap)
     if step is None:
-        step = default
+        step = _modified_default_step(params.c, params.kappa)
     _validate_step(step)
-    ratio = c / kap
-
-    def rhs(t, y):
-        return math.exp(-ratio * y * (y + t + kap - 1.0)) - 2.0
-
-    # _rk4 over rhs, inlined with the same rounding: this loop is the hot path
-    coarse = max(step, default)
-    exp, neg, half, sixth = math.exp, -ratio, coarse / 2, coarse / 6
-    vals = [1.0]
-    append = vals.append
-    tau, nv = 0.0, 1.0
-    try:
-        while tau <= 1.2:   # N' <= -1 forces a zero by tau = 1
-            mid, end = tau + half, tau + coarse
-            k1 = exp(neg * nv * (nv + tau + kap - 1.0)) - 2.0
-            y = nv + half * k1
-            k2 = exp(neg * y * (y + mid + kap - 1.0)) - 2.0
-            y = nv + half * k2
-            k3 = exp(neg * y * (y + mid + kap - 1.0)) - 2.0
-            y = nv + coarse * k3
-            k4 = exp(neg * y * (y + end + kap - 1.0)) - 2.0
-            nxt = nv + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if nxt <= 0.0:
-                break
-            tau, nv = end, nxt
-            append(nv)
-
-        if tau > 1.2:
-            raise IntegrationFailure(f"runaway integration for params {params}")
-
-        if step < coarse:
-            vals, tau, nv, nxt = _refine_modified(
-                params, step, coarse, vals, *_last_step_zero(rhs, tau, nv, coarse, nxt))
-        tau0, n0 = _last_step_zero(rhs, tau, nv, step, nxt)
-    except OverflowError:   # math.exp of a stage's -lambda
-        raise IntegrationFailure(f"e^-lambda overflows in an RK4 stage for "
-                                 f"params {params}") from None
-    t_arr = np.append(_grid(0.0, len(vals) - 1, step), tau0)
-    n_arr = np.append(vals, n0)
-    g = np.exp(-ratio * n_arr * (n_arr + t_arr + kap - 1.0))
-    increments = 0.5 * (g[1:] + g[:-1]) * np.diff(t_arr)
-    integral = np.concatenate(([0.0], np.cumsum(increments)))
-    resid = float(np.max(np.abs(n_arr - (1.0 - 2.0 * t_arr + integral))))
+    traj, resid = _modified_run(params, step)
     if resid > 10.0 * step:
         raise IntegrationFailure(
             f"integral-form residual {resid:.3e} exceeds {10 * step:.1e} "
             f"for params {params}")
-    if not 0.5 - 1e-6 <= tau0 <= 1.0 + 1e-6:
-        raise IntegrationFailure(f"tau0={tau0} outside [1/2, 1] for {params}")
-
-    return OdeTrajectory(taus=t_arr, values=n_arr, tau0=tau0,
-                         mu_over_n=1.0 - tau0)
+    if not 0.5 - 1e-6 <= traj.tau0 <= 1.0 + 1e-6:
+        raise IntegrationFailure(f"tau0={traj.tau0} outside [1/2, 1] for {params}")
+    return traj
 
 
 def _modified_default_step(c: float, kappa: float) -> float:
     """integrate_modified's default step: min(1e-3, kappa/c), at least 1e-6."""
     return max(1e-6, min(1e-3, kappa / c))
+
+
+def _modified_run(params: TheoryParams,
+                  step: float) -> tuple[OdeTrajectory, float]:
+    """integrate_modified's trajectory at `step` and its integral-form
+    residual, before the residual and tau0 checks."""
+    c, kap = params.c, params.kappa
+    ratio = c / kap
+
+    def rhs(t, y):
+        return math.exp(-ratio * y * (y + t + kap - 1.0)) - 2.0
+
+    # _rk4 over rhs, inlined with the same rounding: this loop is the hot
+    # path. Each value goes to a list, whose append costs about a third of
+    # array.append's; after about _BLOCK steps (`span` in tau) the list
+    # moves on to the array, at 8 bytes a value. The inner loop's bound
+    # also stops it at tau > 1.2, so each step compares tau only once.
+    coarse = max(step, _modified_default_step(c, kap))
+    exp, neg, half, sixth = math.exp, -ratio, coarse / 2, coarse / 6
+    span = _BLOCK * coarse
+    vals = array("d", [1.0])
+    tau, nv = 0.0, 1.0
+    res = _IntegralResidual(neg, kap)
+    try:
+        while True:
+            if tau > 1.2:   # N' <= -1 forces a zero by tau = 1
+                raise IntegrationFailure(f"runaway integration for params {params}")
+            block = []
+            append = block.append
+            limit = min(1.2, tau + span)
+            while tau <= limit:
+                mid, end = tau + half, tau + coarse
+                k1 = exp(neg * nv * (nv + tau + kap - 1.0)) - 2.0
+                y = nv + half * k1
+                k2 = exp(neg * y * (y + mid + kap - 1.0)) - 2.0
+                y = nv + half * k2
+                k3 = exp(neg * y * (y + mid + kap - 1.0)) - 2.0
+                y = nv + coarse * k3
+                k4 = exp(neg * y * (y + end + kap - 1.0)) - 2.0
+                nxt = nv + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                if nxt <= 0.0:
+                    break
+                tau, nv = end, nxt
+                append(nv)
+            vals.fromlist(block)
+            if nxt <= 0.0:
+                break
+        vals.append(0.0)   # room for the zero
+        taus, values = _grid(0.0, len(vals) - 1, coarse), np.frombuffer(vals)
+
+        done = 0   # points already handed to res
+        if step < coarse:
+            taus[-1], values[-1] = _last_step_zero(rhs, tau, nv, coarse, nxt)
+            taus, values, tau, nv, nxt = _refine_modified(
+                params, step, coarse, taus, values, res)
+            done = len(values) - 1
+        tau0, n0 = _last_step_zero(rhs, tau, nv, step, nxt)
+    except OverflowError:   # math.exp of a stage's -lambda
+        raise IntegrationFailure(f"e^-lambda overflows in an RK4 stage for "
+                                 f"params {params}") from None
+    taus[-1], values[-1] = tau0, n0
+    for i in range(done, len(values), _BLOCK):
+        res.add(taus[i:i + _BLOCK], values[i:i + _BLOCK])
+    return (OdeTrajectory(taus=taus, values=values, tau0=tau0,
+                          mu_over_n=1.0 - tau0),
+            float(res.value))
+
+
+class _IntegralResidual:
+    """max |N - (1 - 2 tau + integral of e^-lambda from 0 to tau)| over a
+    trajectory handed over in consecutive blocks, the integral by the
+    trapezoid rule. The integral is carried from block to block and each
+    block's sum starts from it, so the additions run in the order of one
+    pass over the whole trajectory and the result is the same float."""
+
+    def __init__(self, neg: float, kap: float):
+        self._neg, self._kap = neg, kap
+        self.value = np.float64(0.0)
+        self._last = None   # (tau, e^-lambda, integral) at the last point
+
+    def add(self, t: np.ndarray, n: np.ndarray, g: np.ndarray | None = None):
+        """Take the next points (t, n); g is e^-lambda there, if known."""
+        if g is None:
+            g = np.exp(self._neg * n * (n + t + self._kap - 1.0))
+        integral = np.empty(len(t))
+        if self._last is None:
+            integral[0] = 0.0
+        else:
+            t0, g0, i0 = self._last
+            integral[0] = i0 + 0.5 * (g[0] + g0) * (t[0] - t0)
+        rest = integral[1:]
+        np.add(g[1:], g[:-1], out=rest)
+        rest *= 0.5
+        rest *= t[1:] - t[:-1]
+        np.cumsum(integral, out=integral)
+        self._last = t[-1], g[-1], integral[-1]
+        integral += 1.0 - 2.0 * t
+        np.subtract(n, integral, out=integral)
+        # np.maximum, unlike max, keeps a nan as one pass's np.max does
+        self.value = np.maximum(self.value, np.max(np.abs(integral, out=integral)))
 
 
 # Newton updates allowed per block in _refine_modified, the residual at
@@ -371,41 +429,81 @@ _PAST = 4
 def _modified_step(t, x, step: float, neg: float, kap: float,
                    jac: bool = False):
     """The scalar loop's RK4 step Phi(t_k, x_k) for each k, with its
-    arithmetic in the same order; with jac, also the exact derivative
-    dPhi/dN by the chain rule through the four stages."""
-    half = step / 2
-    mid = t + half
+    arithmetic in the same order, and e^-lambda at (t_k, x_k); with jac,
+    also the exact derivative dPhi/dN by the chain rule through the four
+    stages. Works in place on a few arrays of the block's length."""
     # each stage is e^(neg y w) - 2 with w = y + s + kap - 1, so its
     # derivative in y is e^(neg y w) neg (y + w)
-    w = x + t + kap - 1.0
-    e1 = np.exp(neg * x * w)
-    k1 = e1 - 2.0
-    y2 = x + half * k1
-    w2 = y2 + mid + kap - 1.0
-    e2 = np.exp(neg * y2 * w2)
-    k2 = e2 - 2.0
-    y3 = x + half * k2
-    w3 = y3 + mid + kap - 1.0
-    e3 = np.exp(neg * y3 * w3)
-    k3 = e3 - 2.0
-    y4 = x + step * k3
-    w4 = y4 + (t + step) + kap - 1.0
-    e4 = np.exp(neg * y4 * w4)
-    phi = x + step / 6 * (k1 + 2.0 * k2 + 2.0 * k3 + (e4 - 2.0))
+    w = x + t
+    w += kap
+    w -= 1.0
+    g = np.multiply(x, neg)
+    g *= w
+    np.exp(g, out=g)
+    k = g - 2.0
+    phi = k.copy()   # k1 + 2 k2 + 2 k3 + k4, added in that order
+    if jac:
+        w += x
+        d = np.multiply(g, neg)
+        d *= w
+        dphi = d.copy()   # d1 + 2 d2 + 2 d3 + d4 likewise
+    y, e = np.empty_like(x), np.empty_like(x)
+    half = step / 2
+    for h, weight in ((half, 2.0), (half, 2.0), (step, 1.0)):
+        # y = x + h k, w = y + (t + h) + kap - 1, k = e^(neg y w) - 2
+        np.multiply(k, h, out=y)
+        y += x
+        np.add(t, h, out=w)
+        w += y
+        w += kap
+        w -= 1.0
+        np.multiply(y, neg, out=e)
+        e *= w
+        np.exp(e, out=e)
+        np.subtract(e, 2.0, out=k)
+        if jac:   # d = e neg (y + w) (1 + h d)
+            w += y
+            e *= neg
+            e *= w
+            d *= h
+            d += 1.0
+            d *= e
+        if weight == 1.0:
+            phi += k
+            if jac:
+                dphi += d
+        else:
+            phi += np.multiply(k, weight, out=w)
+            if jac:
+                dphi += np.multiply(d, weight, out=w)
+    phi *= step / 6
+    phi += x
     if not jac:
-        return phi
-    d1 = e1 * neg * (x + w)
-    d2 = e2 * neg * (y2 + w2) * (1.0 + half * d1)
-    d3 = e3 * neg * (y3 + w3) * (1.0 + half * d2)
-    d4 = e4 * neg * (y4 + w4) * (1.0 + step * d3)
-    return phi, 1.0 + step / 6 * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
+        return phi, g
+    dphi *= step / 6
+    dphi += 1.0
+    return phi, g, dphi
+
+
+_TINY, _HUGE = np.finfo(float).tiny, np.finfo(float).max
 
 
 def _affine_scan(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """d with d_0 = b_0 and d_k = a_k d_(k-1) + b_k, by recursive doubling
-    (Hillis-Steele): after the pass at offset s, (a_k, b_k) is the
-    composition of the maps k-2s+1 .. k. Overwrites a and b. No division
-    by a product of the a's, which underflows when the a's are small."""
+    """d with d_0 = b_0 and d_k = a_k d_(k-1) + b_k. May overwrite a and b.
+
+    When every a is positive and P = cumprod(a) stays a normal float,
+    d = P cumsum(b/P). Otherwise, or if that sum overflows, by recursive
+    doubling (Hillis-Steele): after the pass at offset s, (a_k, b_k) is the
+    composition of the maps k-2s+1 .. k. The doubling never divides by a
+    product of the a's, which underflows when the a's are small."""
+    if a.min() > 0.0:
+        p = np.cumprod(a)
+        if p.min() >= _TINY and p.max() <= _HUGE:
+            d = np.divide(b, p)
+            np.cumsum(d, out=d)
+            if math.isfinite(d[-1]):
+                d *= p
+                return d
     s = 1
     while s < len(b):
         b[s:] += a[s:] * b[:-s]
@@ -415,58 +513,77 @@ def _affine_scan(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _refine_modified(params: TheoryParams, step: float, coarse: float,
-                     coarse_vals: list, tau0: float, n0: float):
-    """The scalar loop's run at `step` from its run at `coarse` > step.
+                     nodes: np.ndarray, ys: np.ndarray, res: _IntegralResidual):
+    """The scalar loop's run at `step` from its run (nodes, ys) at
+    `coarse` > step, whose last node is its bisected zero.
 
     The guess is the cubic Hermite interpolant of the coarse run, with the
-    ODE's slopes at its nodes and its bisected zero (tau0, n0) as the last
-    node; past that node it goes on along the last slope. Blocks of _BLOCK
-    fine steps, each from the converged end of the one before, are then
-    corrected to the recurrence x_(k+1) = Phi(tau_k, x_k) by Newton on the
-    whole block: the update d solves d_(k+1) = J_k d_k + Phi(tau_k, x_k) -
-    x_(k+1), J_k = dPhi/dN, by _affine_scan. A block has converged when
-    every |Phi(tau_k, x_k) - x_(k+1)| <= _NEWTON_TOL. The blocks stop
-    _PAST steps past the coarse zero, and go on _PAST steps at a time if
-    the fine zero lies further.
+    ODE's slopes at its nodes; past the last node it goes on along the last
+    slope. Blocks of _BLOCK fine steps, each from the converged end of the
+    one before, are then corrected to the recurrence x_(k+1) =
+    Phi(tau_k, x_k) by Newton on the whole block: the update d solves
+    d_(k+1) = J_k d_k + Phi(tau_k, x_k) - x_(k+1), J_k = dPhi/dN, by
+    _affine_scan. A block has converged when every
+    |Phi(tau_k, x_k) - x_(k+1)| <= _NEWTON_TOL. The blocks stop _PAST steps
+    past the coarse zero, and go on _PAST steps at a time if the fine zero
+    lies further.
 
-    Returns what the scalar loop ends with: the values before the zero,
-    the last tau and value, and the first value <= 0.
+    Each block is written in place into the fine taus and values, which
+    are allocated once with room for the zero, and handed to `res` with
+    the e^-lambda of its last convergence check; after that nothing reads
+    its steps again. Returns the taus and values up to the zero, whose
+    last entry is the caller's to fill, the last tau and value before the
+    zero, and the first value <= 0.
     """
     c, kap = params.c, params.kappa
     neg = -c / kap
-    nodes = np.append(_grid(0.0, len(coarse_vals) - 1, coarse), tau0)
-    ys = np.append(coarse_vals, n0)
     slopes = np.exp(neg * ys * (ys + nodes + kap - 1.0)) - 2.0
     # the cubic on each interval as ys + u (slopes + u (a2 + u a3)), u = t - node
     h = np.diff(nodes)
     dy = np.diff(ys) / h
     a2 = (3.0 * dy - 2.0 * slopes[:-1] - slopes[1:]) / h
     a3 = (slopes[:-1] + slopes[1:] - 2.0 * dy) / (h * h)
+    tau0 = nodes[-1]
 
-    def guess(t):
-        i = np.minimum((t / coarse).astype(np.intp), len(h) - 1)
-        u = np.minimum(t - nodes[i], h[i])
-        return (ys[i] + u * (slopes[i] + u * (a2[i] + u * a3[i]))
-                + np.maximum(t - tau0, 0.0) * slopes[-1])
+    def guess(t, out):
+        i = (t / coarse).astype(np.intp)
+        np.minimum(i, len(h) - 1, out=i)
+        u = t - nodes[i]
+        np.minimum(u, h[i], out=u)
+        np.multiply(u, a3[i], out=out)
+        out += a2[i]
+        out *= u
+        out += slopes[i]
+        out *= u
+        out += ys[i]
+        # past the last node, along its slope
+        np.subtract(t, tau0, out=u)
+        np.maximum(u, 0.0, out=u)
+        u *= slopes[-1]
+        out += u
 
-    chunks = [np.array([1.0])]
-    remaining = int(tau0 / step) + _PAST
-    tau, nv = 0.0, 1.0
+    steps = int(tau0 / step) + _PAST
+    taus = _grid(0.0, steps, step)
+    vals = np.empty(steps + 1)
+    vals[0] = 1.0
+    start = 0   # index of the block's first point
     while True:
-        m = min(_BLOCK, remaining) if remaining > 0 else _PAST
-        remaining -= m
-        t = _grid(tau, m, step)
-        x = guess(t)
-        x[0] = nv
+        if start == steps:   # the fine zero lies past the arrays: grow them
+            steps += _PAST
+            taus = _grid(0.0, steps, step)
+            vals = np.concatenate((vals, np.empty(_PAST)))
+        m = min(_BLOCK, steps - start)
+        t, x = taus[start:start + m + 1], vals[start:start + m + 1]
+        guess(t[1:], x[1:])
         ts, xs = t[:-1], x[:-1]   # views: updates to x show in xs
-        phi, jac = _modified_step(ts, xs, step, neg, kap, jac=True)
+        phi, g, jac = _modified_step(ts, xs, step, neg, kap, jac=True)
         for _ in range(_NEWTON_ITERS):
             x[1:] += _affine_scan(jac, phi - x[1:])
             # one update usually converges; only then is J not needed
-            if np.max(np.abs(_modified_step(ts, xs, step, neg, kap) - x[1:])) \
-                    <= _NEWTON_TOL:
+            phi, g = _modified_step(ts, xs, step, neg, kap)
+            if np.max(np.abs(phi - x[1:])) <= _NEWTON_TOL:
                 break
-            phi, jac = _modified_step(ts, xs, step, neg, kap, jac=True)
+            phi, g, jac = _modified_step(ts, xs, step, neg, kap, jac=True)
         else:
             raise IntegrationFailure(
                 f"Newton refinement at step {step} did not converge in "
@@ -474,11 +591,12 @@ def _refine_modified(params: TheoryParams, step: float, coarse: float,
         hit = np.flatnonzero(x[1:] <= 0.0)
         if hit.size:
             k = hit[0]
-            chunks.append(x[1:k + 1])
-            return np.concatenate(chunks), float(t[k]), float(x[k]), float(x[k + 1])
-        chunks.append(x[1:])
-        tau, nv = float(t[-1]), float(x[-1])
-        if tau > 1.2:
+            res.add(ts[:k + 1], xs[:k + 1], g[:k + 1])
+            return (taus[:start + k + 2], vals[:start + k + 2],
+                    float(t[k]), float(x[k]), float(x[k + 1]))
+        res.add(ts, xs, g)
+        start += m
+        if t[-1] > 1.2:
             raise IntegrationFailure(f"runaway integration for params {params}")
 
 

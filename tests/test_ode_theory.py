@@ -704,6 +704,10 @@ class TestSameAsSequentialLoops:
     (100.0, 0.01, 1e-2, IntegrationFailure),    # runaway: too stiff for the step
     (8.0, 0.05, 1e-2, None),                    # color-starved, integrates
     (1000.0, 0.001, 1e-3, IntegrationFailure),  # e^-lambda overflows in a stage
+    # stiff cells refined below their default steps, 2.5e-4 and 5e-5
+    (2000.0, 0.5, 1e-4, None),
+    (2000.0, 0.5, 1e-5, None),
+    (1e4, 0.5, 2e-5, None),
 ])
 def test_integrate_modified_stiff_corners(c, kappa, step, raised):
     assert assert_same_as_loop(integrate_modified, _modified_loop,
@@ -743,15 +747,35 @@ def test_refinement_that_does_not_converge_raises(monkeypatch):
     integrate_modified(p)   # the default step runs no refinement
 
 
-def test_affine_scan_matches_the_recurrence():
+def _affine_blocks():
     rng = np.random.default_rng(3)
-    a, b = rng.uniform(0.0, 1.2, 1000), rng.normal(size=1000)
+    b = rng.normal(size=1000)
+    # the product of the a's underflows: recursive doubling
+    yield rng.uniform(0.0, 1.2, 1000), b
+    # a's next to 1, as Newton's J is far from the stiffness limit:
+    # P = cumprod(a) stays a normal float and d = P cumsum(b / P)
+    yield 1.0 - rng.uniform(-1e-3, 1e-2, 1000), b
+    # a J <= 0, as in a block whose step is past kappa/c: doubling
+    a = 1.0 - rng.uniform(-1e-3, 1e-2, 1000)
+    a[[10, 500]] = (-0.5, 0.0)
+    yield a, b
+
+
+@pytest.mark.parametrize("a, b", _affine_blocks())
+def test_affine_scan_matches_the_recurrence(a, b):
     want, d = [], 0.0
     for ak, bk in zip(a, b):
         d = ak * d + bk
         want.append(d)
     got = ode_theory._affine_scan(a.copy(), b.copy())
-    assert np.max(np.abs(got - want)) < 1e-13
+    assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
+
+
+def test_affine_scan_blocks_take_both_branches():
+    (under, _), (near_one, _), (nonpositive, _) = _affine_blocks()
+    assert np.cumprod(under).min() < np.finfo(float).tiny
+    assert np.cumprod(near_one).min() >= np.finfo(float).tiny and near_one.min() > 0.0
+    assert nonpositive.min() <= 0.0
 
 
 def test_refinement_peak_memory_below_the_loop():
@@ -768,3 +792,68 @@ def test_refinement_peak_memory_below_the_loop():
         finally:
             tracemalloc.stop()
     assert peaks[0] < peaks[1]
+
+
+def _one_pass_residual(traj, params):
+    """integrate_modified's integral-form residual in one pass over the
+    whole returned trajectory."""
+    ratio, kap = params.c / params.kappa, params.kappa
+    t_arr, n_arr = traj.taus, traj.values
+    g = np.exp(-ratio * n_arr * (n_arr + t_arr + kap - 1.0))
+    integral = np.concatenate(([0.0], np.cumsum(0.5 * (g[1:] + g[:-1])
+                                               * np.diff(t_arr))))
+    return float(np.max(np.abs(n_arr - (1.0 - 2.0 * t_arr + integral))))
+
+
+@pytest.mark.parametrize("step", [None, 1e-4, 1e-5])
+@pytest.mark.parametrize("c, kappa", [
+    (1.0, 0.5), (0.5, 0.1), (3.0, 0.25), (8.0, 0.52), (5.0, 2.0), (2.0, 10.0),
+    (2000.0, 0.5), (5.0, 0.05), (20.0, 0.005), (8.0, 0.05),
+])
+def test_residual_is_the_one_pass_formula(c, kappa, step):
+    # accumulated block by block, with the e^-lambda of Newton's last check
+    # on refined runs, it is the same float as one pass over the trajectory
+    p = TheoryParams(c, kappa)
+    used = ode_theory._modified_default_step(c, kappa) if step is None else step
+    traj, resid = ode_theory._modified_run(p, used)
+    assert type(resid) is float
+    assert resid == _one_pass_residual(traj, p)
+
+
+@pytest.mark.parametrize("c, kappa, step", [
+    (1.0, 0.5, 1e-5),       # refined, about 78,000 steps
+    (0.5, 0.1, 1e-5),       # refined, color-starved, about 91,000 steps
+    # the scalar loop at its default step 1e-5, 10^5 steps (at the 1e-6
+    # floor, (100, 1e-4) peaks at 17 bytes a step, but tracemalloc makes its
+    # 10^6 steps of Python floats take about 45 s)
+    (10.0, 1e-4, None),
+])
+def test_peak_memory_per_step(c, kappa, step):
+    # 8 bytes a step for the returned taus and as much for the values;
+    # everything else is a block long (one pass with a list of values
+    # peaked at 64 bytes a step refined and at 88 bytes in the loop)
+    tracemalloc.start()
+    try:
+        traj = integrate_modified(TheoryParams(c, kappa), step=step)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * len(traj.taus)
+
+
+def test_refinement_goes_past_its_arrays_to_a_later_fine_zero():
+    # a coarse run cut one node short puts its "zero" up to a coarse step
+    # early, so the fine zero lies past the arrays sized from it and the
+    # blocks go on _PAST steps at a time; the values stay the refined run's
+    p, step = TheoryParams(1.0, 0.5), 1e-5
+    want = integrate_modified(p, step=step)
+    coarse = integrate_modified(p)
+    nodes, ys = coarse.taus[:-1].copy(), coarse.values[:-1].copy()
+    assert want.tau0 - nodes[-1] > (ode_theory._PAST + 1) * step
+    res = ode_theory._IntegralResidual(-p.c / p.kappa, p.kappa)
+    taus, values, tau, nv, nxt = ode_theory._refine_modified(
+        p, step, coarse.taus[1], nodes, ys, res)
+    assert len(taus) > int(nodes[-1] / step) + ode_theory._PAST + 1
+    assert np.array_equal(taus[:-1], want.taus[:-1])
+    assert np.max(np.abs(values[:-1] - want.values[:-1])) <= 1e-15
+    assert (tau, nv) == (taus[-2], values[-2]) and nv > 0.0 >= nxt
