@@ -173,20 +173,13 @@ def run_modified_greedy(g: ColoredGraph, run_seed: int) -> MatchingResult:
     # edge permutation, which orders every vertex's list: the scan reads an
     # edge only at its earlier endpoint, so the lists that are read are
     # disjoint, each in uniform order, independent of each other and of
-    # the turns. The sort key packs (turn, place) into one int64, the place
-    # in its low b bits, which a mask reads back.
+    # the turns. The sort key packs (turn, place) into one int64.
     perm = gen.permutation(m)
     vertices = gen.permutation(n)
     turn = np.empty(n, dtype=np.int64)
     turn[vertices] = np.arange(n)
     earlier = np.minimum(turn[e[:, 0]], turn[e[:, 1]])
-    b = (m - 1).bit_length()
-    key = earlier[perm]
-    key <<= b
-    key |= np.arange(m)
-    key.sort()
-    key &= (1 << b) - 1
-    order = perm[key]
+    order = perm[np.sort(earlier[perm] * m + np.arange(m)) % m]
     del perm   # m int64, dead here; not held through _first_fit
     taken = order[_first_fit(e.take(order, axis=0), n, g.q_total)]
     # a matched edge's later endpoint skips its turn; the edge is matched
