@@ -761,7 +761,8 @@ def _affine_blocks():
     yield a, b
 
 
-@pytest.mark.parametrize("a, b", _affine_blocks())
+@pytest.mark.parametrize("a, b", _affine_blocks(),
+                         ids=["underflow", "near_one", "nonpositive"])
 def test_affine_scan_matches_the_recurrence(a, b):
     want, d = [], 0.0
     for ak, bk in zip(a, b):
