@@ -28,7 +28,12 @@ class ColoredGraph:
             raise ValueError(f"need at least one vertex, got n={n}")
         if q < 0:
             raise ValueError(f"negative color count q={q}")
-        arr = np.array(edges, dtype=np.int64).reshape(len(edges), 3)
+        self._adopt(n, q, np.array(edges, dtype=np.int64).reshape(len(edges), 3),
+                    seed)
+
+    def _adopt(self, n: int, q: int, arr: np.ndarray, seed: int | None):
+        """Check arr, an (m, 3) int64 array that no one else holds, and
+        keep it as the edges without a copy."""
         if len(arr) and q < 1:
             raise ValueError("q=0 with a nonempty edge set")
         u, v, color = arr.T
@@ -42,7 +47,16 @@ class ColoredGraph:
                 _reject(arr, u == v, "self loop")
             if color.min() < 1 or color.max() > q:
                 _reject(arr, (color < 1) | (color > q), f"color outside 1..{q}")
-        key = np.sort(np.minimum(u, v) * n + np.maximum(u, v))
+        # the pair key min(u, v) * n + max(u, v), built and sorted in place;
+        # generate's rows have u < v, which spares the min and max
+        if (u < v).all():
+            key = u * n
+            key += v
+        else:
+            key = np.minimum(u, v)
+            key *= n
+            key += np.maximum(u, v)
+        key.sort()
         dup = key[1:][key[1:] == key[:-1]]
         if dup.size:
             raise ValueError(f"duplicate edge {divmod(int(dup[0]), n)}")
@@ -59,17 +73,19 @@ def _reject(arr: np.ndarray, bad: np.ndarray, what: str):
     raise ValueError(f"edge {eid} {tuple(arr[eid].tolist())}: {what}")
 
 
-def _pairs(rng: np.random.Generator, n: int, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """size iid uniform pairs (u, v), u < v, of n >= 2 vertices."""
-    a = rng.integers(n, size=size)
-    b = rng.integers(n - 1, size=size)
+def _pairs(rng: np.random.Generator, n: int, out: np.ndarray) -> None:
+    """Write len(out) iid uniform pairs (u, v), u < v, of n >= 2 vertices
+    into the two columns of out."""
+    a = rng.integers(n, size=len(out))
+    b = rng.integers(n - 1, size=len(out))
     b += b >= a
-    return np.minimum(a, b), np.maximum(a, b)
+    np.minimum(a, b, out=out[:, 0])
+    np.maximum(a, b, out=out[:, 1])
 
 
-def _distinct_pairs(rng: np.random.Generator, n: int,
-                    m: int) -> tuple[np.ndarray, np.ndarray]:
-    """m distinct pairs (u, v), u < v, of n vertices, for 0 < 2m <= n(n-1)/2.
+def _distinct_pairs(rng: np.random.Generator, n: int, out: np.ndarray) -> None:
+    """Write m = len(out) distinct pairs (u, v), u < v, of n vertices into
+    the two columns of out, for 0 < 2m <= n(n-1)/2.
 
     It draws m iid uniform pairs and redraws each one that repeats a pair
     held elsewhere (at an earlier place in the first draw, at a kept place,
@@ -81,24 +97,30 @@ def _distinct_pairs(rng: np.random.Generator, n: int,
     replacement. About m^2 / (n(n-1)) pairs repeat in the first draw
     (c^2 / 4 at m = cn/2); each redraw repeats with chance below 1/2.
     """
-    u, v = _pairs(rng, n, m)
-    key = u * n + v
+    _pairs(rng, n, out)
+    key = out[:, 0] * n
+    key += out[:, 1]
     held = np.sort(key)
     repeats = held[1:][held[1:] == held[:-1]]
     if not repeats.size:
-        return u, v
+        return
     at = np.flatnonzero(np.isin(key, repeats))
     redo = np.delete(at, np.unique(key[at], return_index=True)[1])
+    del key   # only the redrawn keys are needed from here on
+    # the keys held are those of held and of the few redraws kept, which
+    # are kept apart so that held, m long, is never copied
+    kept = held[:0]
     while redo.size:
-        u[redo], v[redo] = _pairs(rng, n, redo.size)
-        new = key[redo] = u[redo] * n + v[redo]
+        pair = np.empty((redo.size, 2), dtype=np.int64)
+        _pairs(rng, n, pair)
+        out[redo] = pair
+        new = pair[:, 0] * n + pair[:, 1]
         repeat = np.ones(redo.size, dtype=bool)
         repeat[np.unique(new, return_index=True)[1]] = False
         repeat |= held[np.searchsorted(held, new).clip(max=held.size - 1)] == new
-        kept = np.sort(new[~repeat])
-        held = np.insert(held, np.searchsorted(held, kept), kept)
+        repeat |= np.isin(new, kept)
+        kept = np.concatenate((kept, new[~repeat]))
         redo = redo[repeat]
-    return u, v
 
 
 def generate(n: int, m: int, q: int, seed: int) -> ColoredGraph:
@@ -123,11 +145,16 @@ def generate(n: int, m: int, q: int, seed: int) -> ColoredGraph:
         return ColoredGraph(n, q, np.zeros((0, 3), dtype=np.int64), seed=seed)
 
     rng = np.random.default_rng(seed)
+    # pairs and colors are drawn into the graph's own array, which the
+    # graph then keeps, checked but not copied
+    edges = np.empty((m, 3), dtype=np.int64)
     if 2 * m > max_m:
         pick = rng.choice(max_m, m, replace=False)
-        pairs = [side[pick] for side in np.triu_indices(n, 1)]
+        for col, side in enumerate(np.triu_indices(n, 1)):
+            edges[:, col] = side[pick]
     else:
-        pairs = _distinct_pairs(rng, n, m)
-    edges = np.stack([*pairs, rng.integers(1, q + 1, size=m)], axis=1)
-    del pairs   # ColoredGraph copies the edges; this lowers the peak
-    return ColoredGraph(n, q, edges, seed=seed)
+        _distinct_pairs(rng, n, edges[:, :2])
+    edges[:, 2] = rng.integers(1, q + 1, size=m)
+    g = ColoredGraph.__new__(ColoredGraph)
+    g._adopt(n, q, edges, seed)
+    return g

@@ -99,10 +99,11 @@ _ALGORITHMS = ("greedy", "modified")
 # and in bytes of peak RSS above the interpreter's. Against one rep per
 # cell at n = 500 ... 10^6, c in {0.5, 1, 5}, kappa in {0.1, 0.5, 2, 20},
 # the time reads 0.65-1.4x of the measured at n >= 10^4 and 0.45-1.15x at
-# n = 500; the bytes read 6-25 % above the measured peak at n = 10^6 and
-# at most 0.4 MB below it at n <= 10^5.
+# n = 500. The bytes were refitted once no layer copied the graph's m rows
+# any more: they read 5-27 % above the measured peak at n = 10^6 and
+# 5-39 % above it at n = 10^5.
 _REP_NS = {"greedy": (243, 12, 7), "modified": (308, 104, 8)}
-_REP_BYTES = {"greedy": (66, 16, 10), "modified": (64, 110, 8)}
+_REP_BYTES = {"greedy": (38, 22, 11), "modified": (37, 60, 10)}
 _TASK_S = 3e-4   # fixed cost of a task, rep or theory cell
 # A theory cell costs per RK4 step: 850 ns in the modified scalar loop,
 # 100 ns in its Newton refinement and 45 ns in integrate_greedy, and its

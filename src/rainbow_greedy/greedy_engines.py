@@ -16,11 +16,13 @@ turn order, then permutation order: at a vertex's turn its edges to
 earlier-turn vertices are already dead, and it takes the first free
 edge of the rest. _first_fit runs a scan in rounds of
 numpy work over a window of the order's first live edges, at most
-max(1024, n // 16) of them, refilled from the order as edges resolve.
-It reads each edge of the order once; on the engines' orders at
-n >= 10^4 the windows of all rounds held fewer than m edges in total.
-An adversarial order (a path scanned end to end) still needs about m/2
-rounds. The README has the details.
+max(1024, n // 16) of them, refilled as edges resolve. It takes the
+graph and the order, and gathers each window's rows from the graph
+through the order: no engine copies the graph into scan order. It reads
+each edge of the order once; on the engines' orders at n >= 10^4 the
+windows of all rounds held fewer than m edges in total. An adversarial
+order (a path scanned end to end) still needs about m/2 rounds. The
+README has the details.
 
 Each engine takes an integer run seed; np.random.default_rng(run_seed)
 makes every draw, so the graph and the seed fix the result, and the
@@ -43,6 +45,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .colored_graph import ColoredGraph
+
+# edges per chunk of _result's death count, at least
+_CHUNK = 1 << 16
 
 # eq=False: the generated == would compare the arrays elementwise
 @dataclass(eq=False)
@@ -79,10 +84,11 @@ def _result(algorithm: str, g: ColoredGraph, run_seed: int,
     only delete isolated vertices and are not part of the process.
     """
     n, q, e = g.n_initial, g.q_total, g.edges
+    m = len(e)
     matching = e.take(taken, axis=0)
     u, v, color = matching.T
-    # steps run up to n + 1; int32 makes the m-sized gathers and minimum
-    # below cheaper (np.bincount casts it back to intp on its own)
+    # steps run up to n + 1; int32 makes the gathers and minimum below
+    # cheaper (np.bincount casts it back to intp on its own)
     step = np.int32 if n < 2 ** 31 - 1 else np.int64
     vertex_step = np.full(n, n + 1, dtype=step)
     vertex_step[processed] = np.arange(1, len(processed) + 1)
@@ -90,36 +96,57 @@ def _result(algorithm: str, g: ColoredGraph, run_seed: int,
     vertex_step[v] = taken_step
     color_step = np.full(q + 1, n + 1, dtype=step)
     color_step[color] = taken_step
-    death = np.minimum(np.minimum(vertex_step[e[:, 0]], vertex_step[e[:, 1]]),
-                       color_step[e[:, 2]])
-    t_end = int(death.max(initial=0))
 
-    def alive(total: int, steps: np.ndarray) -> np.ndarray:
-        return total - np.bincount(steps, minlength=t_end + 1)[:t_end + 1].cumsum()
+    def deaths(rows: np.ndarray) -> np.ndarray:
+        """Number of the rows' edges that die at each step 0..n+1."""
+        death = vertex_step[rows[:, 0]]
+        np.minimum(death, vertex_step[rows[:, 1]], out=death)
+        np.minimum(death, color_step[rows[:, 2]], out=death)
+        return np.bincount(death, minlength=n + 2)
 
+    # counted over chunks of edges: no temporary holds a value per edge,
+    # and chunks of at least n / 2 edges keep the (n + 2)-long counts to
+    # about c per run
+    chunk = max(_CHUNK, n // 2)
+    died = deaths(e[:chunk])
+    for lo in range(chunk, m, chunk):
+        died += deaths(e[lo:lo + chunk])
+    t_end = int(died.nonzero()[0][-1]) if m else 0
+
+    trajectory = np.empty((t_end + 1, 4), dtype=np.int64)
+    trajectory[:, 0] = np.arange(t_end + 1)
+
+    def alive(col: int, total: int, deaths: np.ndarray):
+        out = trajectory[:, col]
+        np.cumsum(deaths[:t_end + 1], out=out)
+        np.subtract(total, out, out=out)
+
+    alive(2, m, died)
+    del died
+    alive(1, n, np.bincount(vertex_step, minlength=t_end + 1))
+    alive(3, q, np.bincount(taken_step, minlength=t_end + 1))
     return MatchingResult(
-        algorithm=algorithm, n=n, m=len(e), q=q, graph_seed=g.seed,
+        algorithm=algorithm, n=n, m=m, q=q, graph_seed=g.seed,
         run_seed=run_seed, matching=matching, edge_ids=taken, mu=len(taken),
         steps_total=t_end, isolated_deletions=t_end - len(taken),
-        trajectory=np.stack([np.arange(t_end + 1), alive(n, vertex_step),
-                             alive(len(e), death), alive(q, taken_step)], axis=1),
+        trajectory=trajectory,
     )
 
 
-def _first_fit(edges: np.ndarray, n: int, q: int) -> np.ndarray:
-    """Rows, ascending, that a first-fit scan of (u, v, color) rows over n
-    vertices and q colors takes.
+def _first_fit(edges: np.ndarray, order: np.ndarray, n: int, q: int) -> np.ndarray:
+    """Places, ascending, in `order` of the rows that a first-fit scan of
+    the (u, v, color) rows edges[order] over n vertices and q colors takes.
 
     It works in rounds over a window: the first live rows of the order,
-    at most max(1024, n // 16) of them. Every earlier row is in the
-    window or dead, and every later row is unread, so a window row that
-    comes first in the window at both endpoints and at its color is one
-    the scan takes. A round takes all such rows, marks their vertices and
-    colors dead, drops the window rows with a dead end, and refills the
-    window from the order, dropping dead rows on the way in; each row
-    enters the window at most once.
+    at most max(1024, n // 16) of them, gathered from edges through the
+    order. Every earlier row is in the window or dead, and every later row
+    is unread, so a window row that comes first in the window at both
+    endpoints and at its color is one the scan takes. A round takes all
+    such rows, marks their vertices and colors dead, drops the window rows
+    with a dead end, and refills the window from the order, dropping dead
+    rows on the way in; each row enters the window at most once.
     """
-    m = len(edges)
+    m = len(order)
     # of widths m/4 ... m/64 and n/4 ... n/32, n // 16 was within 12 % of the
     # fastest on the engines' orders at n = 10^5 and 10^6; the floor keeps
     # small graphs to one window
@@ -129,9 +156,14 @@ def _first_fit(edges: np.ndarray, n: int, q: int) -> np.ndarray:
     dead = np.zeros(n + q + 1, dtype=bool)
     taken = np.zeros(m, dtype=bool)
     shift = np.array([[0], [0], [n]])
+
+    def gather(lo: int, hi: int) -> np.ndarray:
+        """Rows order[lo:hi] as a (3, hi - lo) array of shifted ends."""
+        return np.add(edges.take(order[lo:hi], axis=0).T, shift, order="C")
+
     end = min(width, m)
     rows = np.arange(end)
-    ends = np.ascontiguousarray(edges[:end].T) + shift
+    ends = gather(0, end)
     while rows.size or end < m:
         np.minimum.at(low, ends.ravel(), np.concatenate((rows, rows, rows)))
         hit = (low[ends].min(axis=0) == rows).nonzero()[0]
@@ -141,7 +173,7 @@ def _first_fit(edges: np.ndarray, n: int, q: int) -> np.ndarray:
         keep = (~dead[ends].any(axis=0)).nonzero()[0]
         rows, ends = rows.take(keep), ends.take(keep, axis=1)
         if end < m:
-            more = np.ascontiguousarray(edges[end:end + width - rows.size].T) + shift
+            more = gather(end, end + width - rows.size)
             fresh = (~dead[more].any(axis=0)).nonzero()[0]
             rows = np.concatenate((rows, end + fresh))
             ends = np.concatenate((ends, more.take(fresh, axis=1)), axis=1)
@@ -152,9 +184,9 @@ def _first_fit(edges: np.ndarray, n: int, q: int) -> np.ndarray:
 def run_greedy(g: ColoredGraph, run_seed: int) -> MatchingResult:
     """Match a uniform remaining edge per step until no edges remain."""
     gen = np.random.default_rng(run_seed)
-    e = g.edges
-    order = gen.permutation(len(e))
-    taken = order[_first_fit(e.take(order, axis=0), g.n_initial, g.q_total)]
+    order = gen.permutation(g.m_initial)
+    taken = order[_first_fit(g.edges, order, g.n_initial, g.q_total)]
+    del order
     return _result("greedy", g, run_seed, taken,
                    np.arange(1, len(taken) + 1), [])
 
@@ -173,21 +205,34 @@ def run_modified_greedy(g: ColoredGraph, run_seed: int) -> MatchingResult:
     # edge permutation, which orders every vertex's list: the scan reads an
     # edge only at its earlier endpoint, so the lists that are read are
     # disjoint, each in uniform order, independent of each other and of
-    # the turns. The sort key packs (turn, place) into one int64.
+    # the turns. The sort key packs (turn, place) into one int64; it is
+    # built, sorted and decoded in place.
     perm = gen.permutation(m)
     vertices = gen.permutation(n)
     turn = np.empty(n, dtype=np.int64)
     turn[vertices] = np.arange(n)
-    earlier = np.minimum(turn[e[:, 0]], turn[e[:, 1]])
-    order = perm[np.sort(earlier[perm] * m + np.arange(m)) % m]
-    del perm   # m int64, dead here; not held through _first_fit
-    taken = order[_first_fit(e.take(order, axis=0), n, g.q_total)]
+    earlier = turn[e[:, 0]]
+    np.minimum(earlier, turn[e[:, 1]], out=earlier)
+    key = earlier.take(perm)
+    del earlier
+    key *= m
+    key += np.arange(m)
+    key.sort()
+    key %= m
+    order = perm.take(key)
+    del perm, key
+    taken = order[_first_fit(e, order, n, g.q_total)]
+    del order
     # a matched edge's later endpoint skips its turn; the edge is matched
     # at the step its earlier endpoint's turn is processed
+    u, v = turn[e[taken, 0]], turn[e[taken, 1]]
+    del turn
     processed = np.ones(n, dtype=bool)
-    processed[np.maximum(turn[e[taken, 0]], turn[e[taken, 1]])] = False
-    return _result("modified", g, run_seed, taken,
-                   processed.cumsum()[earlier[taken]], vertices[processed])
+    processed[np.maximum(u, v)] = False
+    taken_step = processed.cumsum()[np.minimum(u, v)]
+    vertices = vertices[processed]
+    del processed, u, v
+    return _result("modified", g, run_seed, taken, taken_step, vertices)
 
 
 def verify_result(g0: ColoredGraph, result: MatchingResult) -> VerifyReport:
@@ -228,8 +273,12 @@ def verify_result(g0: ColoredGraph, result: MatchingResult) -> VerifyReport:
     i = _first(uses > 1)
     if i is not None:
         return VerifyReport(False, f"not rainbow: color {i} repeated")
-    free = np.flatnonzero((degree[e[:, 0]] == 0) & (degree[e[:, 1]] == 0)
-                          & (uses[e[:, 2]] == 0))
+    # maximality on bool masks: one byte per edge, not eight
+    free_vertex, free_color = degree == 0, uses == 0
+    free = free_vertex[e[:, 0]]
+    free &= free_vertex[e[:, 1]]
+    free &= free_color[e[:, 2]]
+    free = np.flatnonzero(free)
     if free.size:
         return VerifyReport(False, f"not maximal: {free.size} edges such as "
                                    f"{tuple(e[free[0]].tolist())} have both endpoints "

@@ -155,7 +155,13 @@ def integrate_greedy(params: TheoryParams,
     def slope(t):
         return 4.0 / (1.0 - 2.0 * t) + 1.0 / (kap - t)
 
-    taus, vals = [], []
+    # the zero lies next to the closed form's, so tau and M are allocated
+    # once, one block past it and with room for the zero, and grow by a
+    # block only if the zero lies further
+    taus = np.empty(int(tau0_general(params) / step) + _BLOCK + 2)
+    vals = np.empty_like(taus)
+    taus[0], vals[0] = 0.0, c / 2.0
+    filled = 1
     tau, m = 0.0, c / 2.0
     while True:
         t = _grid(tau, _BLOCK, step)
@@ -175,10 +181,14 @@ def integrate_greedy(params: TheoryParams,
         P = np.cumprod(A)
         ms = P * (m + np.cumsum(B / P))
         hit = np.flatnonzero(ms <= 0.0)
+        k = hit[0] if hit.size else len(ms)
+        if filled + k >= len(taus):
+            taus = np.concatenate((taus, np.empty(_BLOCK)))
+            vals = np.concatenate((vals, np.empty(_BLOCK)))
+        taus[filled:filled + k] = t[1:k + 1]
+        vals[filled:filled + k] = ms[:k]
+        filled += k
         if hit.size:
-            k = hit[0]
-            taus.append(t[1:k + 1])
-            vals.append(ms[:k])
             if k:
                 tau, m = float(t[k]), float(ms[k - 1])
             nxt = float(ms[k])
@@ -188,13 +198,11 @@ def integrate_greedy(params: TheoryParams,
                 f"M did not cross zero before the domain boundary "
                 f"{min(0.5, kap)} (c={c}, kappa={kap}); the root is closer "
                 f"to the boundary than one step")
-        taus.append(t[1:])
-        vals.append(ms)
         tau, m = float(t[-1]), float(ms[-1])
 
     tau0, m0 = _last_step_zero(rhs, tau, m, step, nxt)
-    return OdeTrajectory(taus=np.concatenate([[0.0], *taus, [tau0]]),
-                         values=np.concatenate([[c / 2.0], *vals, [m0]]),
+    taus[filled], vals[filled] = tau0, m0
+    return OdeTrajectory(taus=taus[:filled + 1], values=vals[:filled + 1],
                          tau0=tau0, mu_over_n=tau0)
 
 

@@ -290,6 +290,9 @@ class TestEdges:
         array = np.array(source)
         ColoredGraph(4, 2, array)
         array[0, 0] = 3
+        # generate's graph keeps the array it drew into, read-only as well
+        g = generate(50, 100, 10, seed=3)
+        assert g.edges.flags.owndata and not g.edges.flags.writeable
 
 
 def rejects(n, q, edges, message):
@@ -305,6 +308,8 @@ class TestConstruction:
 
     def test_rejects_duplicate_edge(self):
         rejects(3, 1, [(0, 1, 1), (1, 2, 1), (1, 0, 1)], "duplicate edge (0, 1)")
+        # every row with u < v: the key is built without min and max
+        rejects(3, 1, [(0, 1, 1), (1, 2, 1), (0, 1, 1)], "duplicate edge (0, 1)")
 
     def test_rejects_bad_color(self):
         rejects(3, 2, [(0, 1, 1), (1, 2, 3)], "edge 1 (1, 2, 3): color outside 1..2")

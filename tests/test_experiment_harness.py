@@ -102,7 +102,7 @@ class TestConfig:
             small_cfg(ode_step=step)
 
     def test_rejects_cell_beyond_physical_memory(self):
-        # q = 10^11 colors: about 1000 GB by the estimate, 10 B per color
+        # q = 10^11 colors: about 1100 GB by the estimate, 11 B per color
         with pytest.raises(ValueError, match=r"kappa=1000000.0, n=100000 "
                                              r"needs about .* GB"):
             small_cfg(kappa_values=(1e6,), n_values=(100_000,))

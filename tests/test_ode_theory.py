@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 import tracemalloc
@@ -858,3 +859,65 @@ def test_refinement_goes_past_its_arrays_to_a_later_fine_zero():
     assert np.array_equal(taus[:-1], want.taus[:-1])
     assert np.max(np.abs(values[:-1] - want.values[:-1])) <= 1e-15
     assert (tau, nv) == (taus[-2], values[-2]) and nv > 0.0 >= nxt
+
+
+# sha256 of integrate_greedy's taus then values (little-endian float64),
+# tau0 as float.hex and the number of points, for (c, kappa, step); the
+# values of blocks collected in lists and concatenated at the end, which the
+# arrays allocated once must match bit for bit
+GREEDY_FROZEN = [
+    ((1, 0.5, None), "41aa97451f40e71d333110cb5e220aada7fd28790a2c3c7ba7e8fe89e96efc30",
+     "0x1.b0cb174e665d8p-3", 21134),
+    ((5, 2, None), "f14c067e16cc34032e7e860e05958378f287deaefe1076e4024958ac13d3ba34",
+     "0x1.9e06e728641e6p-2", 40434),
+    ((0.5, 0.1, 0.0001), "a1ab2d10f70aa946145676ffa501407c3c1d0ce1f9304d0dd2878335829429db",
+     "0x1.5f907ad42c431p-4", 860),
+    ((8, 10, 0.001), "a65078eb02de749b7ee96324bd04f2b4218359b7b63d0c7181de0441d2ceb2cd",
+     "0x1.c53a389ba5e3bp-2", 444),
+    ((2000, 0.5, None), "f48da5a9e7bd0efc161c04a1908fc2a1cd6e77ba6c585677ccf55860d9e9bf67",
+     "0x1.f7e7d426fffd2p-2", 49211),
+    ((3, 0.25, None), "6ceac2fba5240a66db9c1626b3517ee0b78d96ede195d6b07ebd73cefa500d2c",
+     "0x1.d7d070b8d0899p-3", 23039),
+    ((1, 0.5, 1e-06), "4ae4d10c617d766e2a6549a9ae61da2add70300a73fa9796ecb564d6efdcbd74",
+     "0x1.b0cb1750804afp-3", 211326),
+]
+
+
+@pytest.mark.parametrize("cell, digest, tau0, points", GREEDY_FROZEN,
+                         ids=[f"{c}-{kappa}-{step}" for (c, kappa, step), *_ in GREEDY_FROZEN])
+def test_integrate_greedy_output_frozen(cell, digest, tau0, points):
+    c, kappa, step = cell
+    traj = integrate_greedy(TheoryParams(c, kappa), step=step)
+    data = (np.ascontiguousarray(traj.taus, "<f8").tobytes()
+            + np.ascontiguousarray(traj.values, "<f8").tobytes())
+    assert (hashlib.sha256(data).hexdigest(), traj.tau0.hex(), len(traj.taus)) == (
+        digest, tau0, points)
+    assert traj.mu_over_n == traj.tau0
+
+
+@pytest.mark.parametrize("early", [0.0, 0.5])
+def test_integrate_greedy_grows_past_a_short_estimate(monkeypatch, early):
+    # an estimate at 0 or at half the zero sizes the arrays short, so they
+    # grow a block at a time; the trajectory stays the same
+    p = TheoryParams(1.0, 0.5)
+    want = integrate_greedy(p, step=1e-5)
+    monkeypatch.setattr(ode_theory, "tau0_general", lambda params: early * want.tau0)
+    got = integrate_greedy(p, step=1e-5)
+    assert len(got.taus) > 2 * ode_theory._BLOCK
+    assert np.array_equal(got.taus, want.taus)
+    assert np.array_equal(got.values, want.values)
+    assert got.tau0 == want.tau0
+
+
+@pytest.mark.parametrize("c, kappa", [(1.0, 0.5), (5.0, 2.0)])
+def test_integrate_greedy_peak_memory_per_step(c, kappa):
+    # 8 bytes a step for the taus and as much for the values, allocated once;
+    # the rest is a block long: 19.1 and 17.6 bytes a step measured (block
+    # lists concatenated at the end peaked at 33-34)
+    tracemalloc.start()
+    try:
+        traj = integrate_greedy(TheoryParams(c, kappa), step=1e-6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 22 * len(traj.taus)
