@@ -118,7 +118,7 @@ def _result(algorithm: str, g: ColoredGraph, run_seed: int,
 
     def alive(col: int, total: int, deaths: np.ndarray):
         out = trajectory[:, col]
-        np.cumsum(deaths[:t_end + 1], out=out)
+        deaths[:t_end + 1].cumsum(out=out)
         np.subtract(total, out, out=out)
 
     alive(2, m, died)
