@@ -47,15 +47,13 @@ class ColoredGraph:
                 _reject(arr, u == v, "self loop")
             if color.min() < 1 or color.max() > q:
                 _reject(arr, (color < 1) | (color > q), f"color outside 1..{q}")
-        # the pair key min(u, v) * n + max(u, v), built and sorted in place;
-        # generate's rows have u < v, which spares the min and max
-        if (u < v).all():
-            key = u * n
-            key += v
-        else:
-            key = np.minimum(u, v)
-            key *= n
-            key += np.maximum(u, v)
+        # the pair key min(u, v) * n + max(u, v), built in place as
+        # min(u, v) * (n - 1) + u + v (each partial sum is at most the key,
+        # below n^2) and sorted in place
+        key = np.minimum(u, v)
+        key *= n - 1
+        key += u
+        key += v
         key.sort()
         dup = key[1:][key[1:] == key[:-1]]
         if dup.size:

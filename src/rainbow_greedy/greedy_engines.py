@@ -116,9 +116,9 @@ def _result(algorithm: str, g: ColoredGraph, run_seed: int,
     trajectory = np.empty((t_end + 1, 4), dtype=np.int64)
     trajectory[:, 0] = np.arange(t_end + 1)
 
-    def alive(col: int, total: int, deaths: np.ndarray):
+    def alive(col: int, total: int, died_at: np.ndarray):
         out = trajectory[:, col]
-        deaths[:t_end + 1].cumsum(out=out)
+        died_at[:t_end + 1].cumsum(out=out)
         np.subtract(total, out, out=out)
 
     alive(2, m, died)

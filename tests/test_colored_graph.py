@@ -308,7 +308,7 @@ class TestConstruction:
 
     def test_rejects_duplicate_edge(self):
         rejects(3, 1, [(0, 1, 1), (1, 2, 1), (1, 0, 1)], "duplicate edge (0, 1)")
-        # every row with u < v: the key is built without min and max
+        # the same duplicate with every row written u < v
         rejects(3, 1, [(0, 1, 1), (1, 2, 1), (0, 1, 1)], "duplicate edge (0, 1)")
 
     def test_rejects_bad_color(self):
