@@ -257,8 +257,8 @@ def _cmd_conjecture(args) -> int:
         c_values=args.c, kappa_values=args.kappa, n_values=args.n,
         algorithms=("greedy", "modified"), reps=args.reps,
         master_seed=args.seed)
-    rows, _ = run_monte_carlo(cfg)
-    cells = check_conjecture(rows)
+    rows, records = run_monte_carlo(cfg)
+    cells = check_conjecture(rows, records)
     with _table(CONJECTURE_COLUMNS, args) as write:
         write([asdict(r) for r in cells])
     violations = [r for r in cells if r.status == "violation"]

@@ -1,16 +1,21 @@
 """Monte Carlo sweeps, theory cross-checks, and report generation.
 
 A sweep is a grid over (c, kappa, n, algorithm) cells; each cell runs `reps`
-independent simulations. Seeds are derived per (cell, rep) with rng.mix, so
-results are reproducible bit for bit from the master seed alone, cells can
-be reordered without changing any draw, and reps never share streams.
+independent simulations. Its reps are paired: the algorithms of one (c,
+kappa, n) graph cell run on the same graph in each rep. Seeds are derived
+with rng.mix from the master seed, the graph cell's place in the grid, the
+rep and a fixed slot (0 for the graph, 1 for greedy's run, 2 for
+modified's), so results are reproducible bit for bit from the master seed
+alone, and a run's seeds do not depend on which other algorithms the sweep
+runs.
 
 This module writes no file. Every function returns its rows; to_csv and
 to_json format them, and the command line writes them (run_monte_carlo
 hands each cell's row to an optional callback as the cell finishes).
 
-run_monte_carlo (one task per (cell, rep)), theory_report (one per (c,
-kappa) cell) and reproduce_reference_table (one per row) run their tasks
+run_monte_carlo (one task per graph, or per run where that finishes a
+pool sooner), theory_report (one per (c, kappa) cell) and
+reproduce_reference_table (one per row) run their tasks
 through _dispatch, which hands back their values in task order: on a
 fork pool when the machine and the work allow it, in-process otherwise,
 with the same results either way. The pool has as
@@ -90,19 +95,26 @@ REFERENCE_TABLE = {
 }
 
 _ALGORITHMS = ("greedy", "modified")
+_RUN_SLOT = {"greedy": 1, "modified": 2}   # slot 0 seeds the graph
 
 # Cost model of one task, fitted to measurements on a 2-core x86-64 VM with
 # 8 GB (Python 3.11, numpy 2.4). Estimated seconds order a pool's tasks and
 # decide whether a pool pays; estimated peak bytes size it.
 #
-# A rep (generate, then the engine) costs per (edge, vertex, color), in ns
-# and in bytes of peak RSS above the interpreter's. Against one rep per
-# cell at n = 500 ... 10^6, c in {0.5, 1, 5}, kappa in {0.1, 0.5, 2, 20},
-# the time reads 0.65-1.4x of the measured at n >= 10^4 and 0.45-1.15x at
-# n = 500. The bytes were refitted once no layer copied the graph's m rows
-# any more: they read 5-27 % above the measured peak at n = 10^6 and
-# 5-39 % above it at n = 10^5.
-_REP_NS = {"greedy": (243, 12, 7), "modified": (308, 104, 8)}
+# A rep task runs generate once, then each of its engines on that graph.
+# Its time is the sum of one term for generate and one per engine, each per
+# (edge, vertex, color) in ns, fitted at n >= 10^4 to the median of three
+# warm in-process calls, as a sweep makes them, at n = 500 ... 10^6, c in
+# {0.5, 1, 5} and kappa in {0.1, 0.5, 2, 20}. A task's estimate, one engine
+# or both, reads 0.97-1.33x of the measured at n = 10^4, 0.85-1.38x at
+# 10^5, 0.44-0.94x at 10^6 (larger graphs miss the caches more) and
+# 0.53-1.37x at n = 500.
+# Its peak is the larger of its reps' (the engines run one after the
+# other on the shared graph). A rep's peak, graph included, is per (edge,
+# vertex, color) in bytes of RSS above the interpreter's; refitted once no
+# layer copied the graph's m rows any more, it reads 5-27 % above the
+# measured peak at n = 10^6 and 5-39 % above it at n = 10^5.
+_REP_NS = {"generate": (64, 1, 0), "greedy": (74, 34, 2), "modified": (119, 93, 2)}
 _REP_BYTES = {"greedy": (38, 22, 11), "modified": (37, 60, 10)}
 _TASK_S = 3e-4   # fixed cost of a task, rep or theory cell
 # A theory cell costs per RK4 step: 850 ns in the modified scalar loop,
@@ -125,11 +137,21 @@ _ODE_BYTES_PER_STEP = 20
 _POOL_MIN_WORK_S = 0.05
 
 
-def _rep_cost(algo: str, n: int, m: int, q: int) -> tuple[float, int]:
-    """Estimated (seconds, peak bytes) of one rep."""
-    t, b = _REP_NS[algo], _REP_BYTES[algo]
-    return (_TASK_S + 1e-9 * (t[0] * m + t[1] * n + t[2] * q),
-            b[0] * m + b[1] * n + b[2] * q)
+def _per_size(coef: tuple[int, int, int], n: int, m: int, q: int) -> int:
+    return coef[0] * m + coef[1] * n + coef[2] * q
+
+
+def _rep_bytes(algo: str, n: int, m: int, q: int) -> int:
+    """Estimated peak bytes of one rep: its graph and its engine."""
+    return _per_size(_REP_BYTES[algo], n, m, q)
+
+
+def _task_cost(task) -> tuple[float, int]:
+    """Estimated (seconds, peak bytes) of a _run_rep task."""
+    n, m, q, _, runs = task
+    layers = ("generate", *(algo for algo, _ in runs))
+    return (_TASK_S + 1e-9 * sum(_per_size(_REP_NS[x], n, m, q) for x in layers),
+            max(_rep_bytes(algo, n, m, q) for algo, _ in runs))
 
 
 def _ode_cost(c: float, kappa: float, step: float | None,
@@ -183,7 +205,7 @@ class ExperimentConfig:
                                      f"{n * (n - 1) // 2} pairs of n={n} vertices")
         memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
         for c, k, n, a in self.cells():
-            need = _rep_cost(a, n, round(c * n / 2), round(k * n))[1]
+            need = _rep_bytes(a, n, round(c * n / 2), round(k * n))
             if need > memory:
                 raise ValueError(f"one {a} rep at c={c}, kappa={k}, n={n} "
                                  f"needs about {need / 1e9:.1f} GB, more than "
@@ -380,27 +402,76 @@ def _dispatch(fn, tasks: list, costs: list[tuple[float, int]]):
 
 # -- Monte Carlo sweep -----------------------------------------------------------
 
-def _run_rep(task) -> tuple[int, int, int, float, float]:
-    """One rep: (mu, steps_total, isolated_deletions, generate seconds,
-    engine seconds)."""
-    n, m, q, algo, graph_seed, run_seed = task
-    runner = run_greedy if algo == "greedy" else run_modified_greedy
+def _sweep_tasks(cfg: ExperimentConfig) -> list[tuple]:
+    """One task per graph cell (c, kappa, n) and rep, in grid order:
+    (n, m, q, graph_seed, runs), with runs a tuple of (algorithm, run_seed)
+    in the config's algorithm order."""
+    tasks = []
+    graph_cells = [(c, kappa, n) for c in cfg.c_values
+                   for kappa in cfg.kappa_values for n in cfg.n_values]
+    for index, (c, kappa, n) in enumerate(graph_cells):
+        for rep in range(cfg.reps):
+            runs = tuple((algo, mix(cfg.master_seed, index, rep, _RUN_SLOT[algo]))
+                         for algo in cfg.algorithms)
+            tasks.append((n, round(c * n / 2), round(kappa * n),
+                          mix(cfg.master_seed, index, rep, 0), runs))
+    return tasks
+
+
+def _unpaired(tasks: list) -> list:
+    """The same runs with one task each. A run's task draws its own copy of
+    the graph from the shared seed, so its outcome does not change."""
+    return [(n, m, q, graph_seed, (run,))
+            for n, m, q, graph_seed, runs in tasks for run in runs]
+
+
+def _makespan(tasks: list, workers: int) -> float:
+    """Estimated seconds until `workers`, each claiming the heaviest task
+    left, as _dispatch's pool does, have run all the tasks."""
+    loads = [0.0] * workers
+    for s in sorted((_task_cost(t)[0] for t in tasks), reverse=True):
+        loads[loads.index(min(loads))] += s
+    return max(loads)
+
+
+def _grouping(tasks: list, workers: int) -> list:
+    """The sweep's tasks as dispatched: one per graph, unless one per run is
+    estimated to finish sooner on a pool of `workers`, as when a few heavy
+    graphs would leave workers idle."""
+    if workers < 2:
+        return tasks
+    split = _unpaired(tasks)
+    return split if _makespan(split, workers) < _makespan(tasks, workers) else tasks
+
+
+def _run_rep(task) -> tuple[tuple[int, int, int, float, float], ...]:
+    """Generate one graph and run each of the task's engines on it; per run,
+    (mu, steps_total, isolated_deletions, generate seconds, engine seconds),
+    the generate seconds shared by the runs."""
+    n, m, q, graph_seed, runs = task
     tic = time.perf_counter()
     g = generate(n, m, q, graph_seed)
-    mid = time.perf_counter()
-    result = runner(g, run_seed)
-    toc = time.perf_counter()
-    return (result.mu, result.steps_total, result.isolated_deletions,
-            mid - tic, toc - mid)
+    gen_s = time.perf_counter() - tic
+    outcomes = []
+    for algo, run_seed in runs:
+        runner = run_greedy if algo == "greedy" else run_modified_greedy
+        tic = time.perf_counter()
+        result = runner(g, run_seed)
+        eng_s = time.perf_counter() - tic
+        outcomes.append((result.mu, result.steps_total,
+                         result.isolated_deletions, gen_s, eng_s))
+        del result   # so that the next engine does not run beside it
+    return tuple(outcomes)
 
 
-def _cell_results(cell, tasks, outcomes, theory: float
+def _cell_results(cell, runs, theory: float
                   ) -> tuple[AggregateRow, list[RunRecord]]:
-    """A cell's row and records from its reps' tasks and _run_rep outcomes."""
+    """A cell's row and records from its reps' (graph_seed, run_seed,
+    outcome) in rep order, each outcome one run's from _run_rep."""
     c, kappa, n, algo = cell
     records = []
-    for rep, ((*_, graph_seed, run_seed),
-              (mu, steps, isolated, gen_s, eng_s)) in enumerate(zip(tasks, outcomes)):
+    for rep, (graph_seed, run_seed,
+              (mu, steps, isolated, gen_s, eng_s)) in enumerate(runs):
         records.append(RunRecord(
             c=c, kappa=kappa, n=n, algorithm=algo, rep=rep,
             graph_seed=graph_seed, run_seed=run_seed, mu=mu,
@@ -424,34 +495,34 @@ def run_monte_carlo(cfg: ExperimentConfig, on_row=None
     """Run the full sweep; returns (aggregate rows, per-rep records).
 
     Writes nothing. When on_row is given, it is called with each cell's
-    aggregate row, in cell order, once that cell and every cell before it
-    have finished, so a caller can write rows while the sweep runs and
-    keep them if a later cell fails. The theory values are computed here
-    while the reps run.
+    aggregate row, in cell order, once that cell's graph cell (c, kappa, n)
+    and every graph cell before it have finished, so a caller can write
+    rows while the sweep runs and keep them if a later graph cell fails.
+    The theory values are computed here while the reps run.
     """
     cells = cfg.cells()
-    reps = cfg.reps
-    tasks = []
-    for cell_index, (c, kappa, n, algo) in enumerate(cells):
-        m = round(c * n / 2)
-        q = round(kappa * n)
-        for rep in range(reps):
-            tasks.append((n, m, q, algo, mix(cfg.master_seed, cell_index, rep, 0),
-                          mix(cfg.master_seed, cell_index, rep, 1)))
+    algos = len(cfg.algorithms)
+    graphs = len(cells) // algos
+    tasks = _sweep_tasks(cfg)
+    tasks = _grouping(tasks, _pool_size([_task_cost(t) for t in tasks]))
+    per_graph = len(tasks) // graphs
     rows: list[AggregateRow] = []
     records: list[RunRecord] = []
-    with _dispatch(_run_rep, tasks,
-                   [_rep_cost(t[3], *t[:3]) for t in tasks]) as results:
+    with _dispatch(_run_rep, tasks, [_task_cost(t) for t in tasks]) as results:
         theories = [theory_mu_over_n(c, kappa, algo, cfg.ode_step)
                     for c, kappa, _, algo in cells]
-        for k, cell in enumerate(cells):
-            outcomes = [next(results) for _ in range(reps)]
-            row, cell_records = _cell_results(
-                cell, tasks[k * reps:(k + 1) * reps], outcomes, theories[k])
-            rows.append(row)
-            records.extend(cell_records)
-            if on_row is not None:
-                on_row(row)
+        for g in range(graphs):
+            runs = {}   # algorithm -> its reps' (graph_seed, run_seed, outcome)
+            for *_, graph_seed, task_runs in tasks[g * per_graph:(g + 1) * per_graph]:
+                for (algo, run_seed), outcome in zip(task_runs, next(results)):
+                    runs.setdefault(algo, []).append((graph_seed, run_seed, outcome))
+            for k in range(g * algos, (g + 1) * algos):
+                row, cell_records = _cell_results(cells[k], runs[cells[k][3]],
+                                                  theories[k])
+                rows.append(row)
+                records.extend(cell_records)
+                if on_row is not None:
+                    on_row(row)
     return rows, records
 
 
@@ -563,28 +634,43 @@ class ConjectureRow:
     mean_greedy: float
     mean_modified: float
     diff: float     # modified minus greedy
-    margin: float   # 3 * pooled standard error
+    margin: float   # 3 * standard error of the per-rep paired differences
     status: str     # "consistent with conjecture" | "inconclusive (margin)" | "violation"
 
 
-def check_conjecture(rows: list[AggregateRow]) -> list[ConjectureRow]:
+def check_conjecture(rows: list[AggregateRow],
+                     records: list[RunRecord]) -> list[ConjectureRow]:
     """Test whether the modified process matches at least as much as the
-    plain greedy on every cell of a sweep's aggregate rows.
+    plain greedy on every cell of a sweep's aggregate rows and records.
 
     Returns one row per cell, sorted by (c, kappa, n). A cell with a row
     for only one algorithm is skipped. A cell is a violation only when
-    greedy beats modified by more than 3 pooled standard errors.
+    greedy beats modified by more than 3 standard errors of the paired
+    differences: per rep, modified's mu/n minus greedy's on their shared
+    graph. Raises ValueError when the records lack a pair on one graph for
+    a rep of such a cell.
     """
     by_cell: dict[tuple[float, float, int], dict[str, AggregateRow]] = {}
     for r in rows:
         by_cell.setdefault((r.c, r.kappa, r.n), {})[r.algorithm] = r
+    by_rep: dict[tuple[float, float, int, int], dict[str, RunRecord]] = {}
+    for r in records:
+        by_rep.setdefault((r.c, r.kappa, r.n, r.rep), {})[r.algorithm] = r
     out = []
     for (c, kappa, n), pair in sorted(by_cell.items()):
         if "greedy" not in pair or "modified" not in pair:
             continue
         g, mg = pair["greedy"], pair["modified"]
+        diffs = []
+        for rep in range(g.reps):
+            runs = by_rep.get((c, kappa, n, rep), {})
+            if ("greedy" not in runs or "modified" not in runs
+                    or runs["greedy"].graph_seed != runs["modified"].graph_seed):
+                raise ValueError(f"no greedy and modified records on one graph "
+                                 f"for rep {rep} of (c={c}, kappa={kappa}, n={n})")
+            diffs.append(runs["modified"].mu_over_n - runs["greedy"].mu_over_n)
         diff = mg.mean_mu_over_n - g.mean_mu_over_n
-        margin = 3.0 * math.hypot(g.stderr, mg.stderr)
+        margin = 3.0 * stdev(diffs) / math.sqrt(len(diffs)) if len(diffs) > 1 else 0.0
         if diff < -margin:
             status = "violation"
         elif diff > margin:

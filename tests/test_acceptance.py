@@ -204,14 +204,14 @@ def test_criterion_6_property_suite(capsys):
 
 
 def test_criterion_7_conjecture_sweep(sweep, capsys):
-    _, rows, _ = sweep
-    outcome = check_conjecture(rows)
+    _, rows, records = sweep
+    outcome = check_conjecture(rows, records)
     violations = [r for r in outcome if r.status == "violation"]
     consistent = sum(r.status == "consistent with conjecture" for r in outcome)
     inconclusive = sum(r.status == "inconclusive (margin)" for r in outcome)
     ok = not violations
     report(capsys, 7, ok, f"greedy mean <= modified mean across {len(outcome)} "
                   f"cells at n=1e5: {len(violations)} significant "
-                  f"violations (margin 3*pooled stderr); {consistent} "
+                  f"violations (margin 3*paired stderr); {consistent} "
                   f"consistent, {inconclusive} within margin")
     assert not violations

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 from dataclasses import asdict
+from statistics import fmean, stdev
 from types import SimpleNamespace
 
 import pytest
@@ -24,6 +25,7 @@ from rainbow_greedy.experiment_harness import (
     THEORY_COLUMNS,
     AggregateRow,
     ExperimentConfig,
+    RunRecord,
     asymptotics_report,
     check_conjecture,
     greedy_convention_statement,
@@ -139,9 +141,28 @@ class TestMonteCarlo:
         assert da == db
 
     def test_seeds_distinct_across_reps_and_cells(self):
-        _, records = run_monte_carlo(small_cfg(reps=4))
-        seeds = [r.graph_seed for r in records] + [r.run_seed for r in records]
-        assert len(seeds) == len(set(seeds))
+        # a graph seed is shared by exactly the runs of one (c, kappa, n,
+        # rep), one per algorithm; run seeds are shared by none
+        _, records = run_monte_carlo(small_cfg(c_values=(1.0, 2.0),
+                                               n_values=(500, 600), reps=4))
+        graphs = {}
+        for r in records:
+            graphs.setdefault(r.graph_seed, []).append(r)
+        assert len(graphs) == 2 * 2 * 4
+        for runs in graphs.values():
+            assert len({(r.c, r.kappa, r.n, r.rep) for r in runs}) == 1
+            assert sorted(r.algorithm for r in runs) == ["greedy", "modified"]
+        run_seeds = {r.run_seed for r in records}
+        assert len(run_seeds) == len(records)
+        assert not run_seeds & set(graphs)
+
+    def test_one_algorithm_runs_as_in_a_sweep_of_both(self):
+        cfg = small_cfg(c_values=(0.5, 3.0), reps=3)
+        _, both = run_monte_carlo(cfg)
+        _, alone = run_monte_carlo(small_cfg(c_values=(0.5, 3.0), reps=3,
+                                             algorithms=("modified",)))
+        assert without_runtimes(alone) == without_runtimes(
+            [r for r in both if r.algorithm == "modified"])
 
     def test_mean_and_stderr_match_records(self):
         rows, records = run_monte_carlo(small_cfg(reps=5, algorithms=("greedy",)))
@@ -222,6 +243,55 @@ def without_runtimes(items):
 
 
 class TestPool:
+    @pytest.mark.parametrize("pool", [False, True], ids=["in_process", "pool"])
+    def test_paired_and_split_tasks_give_the_same_results(self, monkeypatch,
+                                                          pool):
+        cfg = small_cfg(c_values=(0.5, 3.0), kappa_values=(0.1, 2.0), reps=3)
+        if pool:
+            force_pool(monkeypatch)
+        monkeypatch.setattr(experiment_harness, "_grouping",
+                            lambda tasks, workers: tasks)
+        rows, records = run_monte_carlo(cfg)
+        monkeypatch.setattr(experiment_harness, "_grouping",
+                            lambda tasks, workers: experiment_harness._unpaired(tasks))
+        split_rows, split_records = run_monte_carlo(cfg)
+        assert multiprocessing.active_children() == []
+        assert without_runtimes(split_rows) == without_runtimes(rows)
+        assert without_runtimes(split_records) == without_runtimes(records)
+        # a pair's runs read one graph, generated once
+        pairs = {}
+        for r in records:
+            pairs.setdefault((r.c, r.kappa, r.rep), []).append(r)
+        for greedy, modified in pairs.values():
+            assert greedy.graph_seed == modified.graph_seed
+            assert greedy.generate_seconds == modified.generate_seconds
+
+    @pytest.mark.parametrize("shape, count", [
+        # mc_dense_half: two paired graphs would leave a worker idle
+        # while the heavier runs on the other
+        (dict(c_values=(1.0, 5.0), reps=1), 4),
+        # mc_small_grid
+        (dict(c_values=(0.5, 3.0), kappa_values=(0.1, 2.0), n_values=(10_000,),
+              reps=10), 40),
+        # the acceptance sweep
+        (dict(c_values=tuple(REFERENCE_TABLE), reps=20), 200),
+    ], ids=["mc_dense_half", "mc_small_grid", "acceptance"])
+    def test_grouping_rule(self, shape, count):
+        tasks = experiment_harness._sweep_tasks(ExperimentConfig(**shape))
+        assert len(experiment_harness._grouping(tasks, 2)) == count
+        assert experiment_harness._grouping(tasks, 1) == tasks
+
+    def test_paired_task_cost(self):
+        # one generate and both engines; the larger of the two reps' peaks
+        pair = (10_000, 15_000, 20_000, 1, (("greedy", 2), ("modified", 3)))
+        greedy, modified = experiment_harness._unpaired([pair])
+        cost = experiment_harness._task_cost
+        generate = experiment_harness._TASK_S + 1e-9 * experiment_harness._per_size(
+            experiment_harness._REP_NS["generate"], 10_000, 15_000, 20_000)
+        assert cost(pair)[0] == pytest.approx(cost(greedy)[0] + cost(modified)[0]
+                                              - generate)
+        assert cost(pair)[1] == max(cost(greedy)[1], cost(modified)[1])
+
     def test_sweep_matches_in_process(self, monkeypatch):
         cfg = small_cfg(c_values=(0.5, 3.0), kappa_values=(0.1, 2.0), reps=3)
         rows, records = run_monte_carlo(cfg)
@@ -415,30 +485,51 @@ class TestReferenceTable:
 
 class TestConjecture:
     def test_report_structure(self):
-        rows, _ = run_monte_carlo(small_cfg(n_values=(3000,), reps=6))
-        report = check_conjecture(rows)
+        rows, records = run_monte_carlo(small_cfg(n_values=(3000,), reps=6))
+        report = check_conjecture(rows, records)
         assert len(report) == 1
         row = report[0]
         assert row.status in ("consistent with conjecture",
                               "inconclusive (margin)", "violation")
+        diffs = [m.mu_over_n - g.mu_over_n
+                 for g, m in zip(records[:6], records[6:])]
+        assert row.margin == pytest.approx(3 * stdev(diffs) / math.sqrt(6),
+                                           abs=1e-15)
         assert row.margin > 0
         assert row.diff == pytest.approx(row.mean_modified - row.mean_greedy,
                                          abs=1e-15)
         assert row.status != "violation"
-        assert check_conjecture(rows) == report
+        assert check_conjecture(rows, records) == report
 
     def test_one_algorithm_gives_no_rows(self):
-        rows, _ = run_monte_carlo(small_cfg(algorithms=("greedy",)))
-        assert check_conjecture(rows) == []
+        rows, records = run_monte_carlo(small_cfg(algorithms=("greedy",)))
+        assert check_conjecture(rows, records) == []
 
     @staticmethod
-    def agg(algorithm, mean, n=1000):
-        # stderrs 0.003 and 0.004 pool to a 3-SE margin of 0.015
-        stderr = 0.003 if algorithm == "greedy" else 0.004
-        return AggregateRow(c=1.0, kappa=0.5, n=n, algorithm=algorithm, reps=5,
-                            mean_mu_over_n=mean, stderr=stderr,
-                            theory_mu_over_n=math.nan, abs_deviation=math.nan,
-                            runtime_seconds=0.0)
+    def paired(diff, n=1000, algorithms=("greedy", "modified")):
+        """Rows and records of a cell of two reps. Their graphs move both
+        algorithms by -0.01 and +0.01, and on them modified's mu/n differs
+        from greedy's by diff - 0.005 and diff + 0.005: the paired 3-SE
+        margin is 0.015, where the pooled one, 3 * hypot(0.01, 0.015),
+        would be 0.054."""
+        mus = {"greedy": (0.19, 0.21),
+               "modified": (0.2 + diff - 0.015, 0.2 + diff + 0.015)}
+        rows, records = [], []
+        for algorithm in algorithms:
+            rows.append(AggregateRow(
+                c=1.0, kappa=0.5, n=n, algorithm=algorithm, reps=2,
+                mean_mu_over_n=fmean(mus[algorithm]),
+                stderr=stdev(mus[algorithm]) / math.sqrt(2),
+                theory_mu_over_n=math.nan, abs_deviation=math.nan,
+                runtime_seconds=0.0))
+            records.extend(RunRecord(
+                c=1.0, kappa=0.5, n=n, algorithm=algorithm, rep=rep,
+                graph_seed=rep, run_seed=10 * rep + len(algorithm),
+                mu=round(mu * n), mu_over_n=mu, steps_total=0,
+                isolated_deletions=0, runtime_seconds=0.0,
+                generate_seconds=0.0, engine_seconds=0.0)
+                for rep, mu in enumerate(mus[algorithm]))
+        return rows, records
 
     @pytest.mark.parametrize("diff,status", [
         (-0.02, "violation"),
@@ -448,21 +539,34 @@ class TestConjecture:
     ], ids=["violation", "inconclusive_below", "inconclusive_above",
             "consistent"])
     def test_status_from_pooled_margin(self, diff, status):
-        report = check_conjecture([self.agg("greedy", 0.2),
-                                   self.agg("modified", 0.2 + diff)])
+        # the margin is 3 standard errors of the paired differences
+        report = check_conjecture(*self.paired(diff))
         (row,) = report
         assert row.margin == pytest.approx(0.015, abs=1e-15)
         assert row.diff == pytest.approx(diff, abs=1e-15)
         assert row.status == status
 
     def test_one_row_per_cell_sorted_by_n(self):
-        rows = [self.agg("modified", 0.25, n=2000), self.agg("greedy", 0.2, n=500),
-                self.agg("greedy", 0.2, n=2000), self.agg("modified", 0.25, n=500),
-                self.agg("greedy", 0.2, n=8000)]
-        report = check_conjecture(rows)
+        rows, records = [], []
+        for n, algorithms in ((2000, ("modified", "greedy")),
+                              (500, ("greedy", "modified")), (8000, ("greedy",))):
+            cell_rows, cell_records = self.paired(0.05, n=n, algorithms=algorithms)
+            rows.extend(cell_rows)
+            records.extend(cell_records)
+        report = check_conjecture(rows, records)
         assert [r.n for r in report] == [500, 2000]
-        assert all(r.mean_greedy == 0.2 and r.mean_modified == 0.25
+        assert all(r.mean_greedy == pytest.approx(0.2, abs=1e-15)
+                   and r.mean_modified == pytest.approx(0.25, abs=1e-15)
                    for r in report)
+
+    def test_runs_not_on_one_graph_are_refused(self):
+        rows, records = self.paired(0.01)
+        records[-1].graph_seed = 7   # modified's second rep, another graph
+        with pytest.raises(ValueError, match=r"rep 1 of \(c=1.0, kappa=0.5, "
+                                             r"n=1000\)"):
+            check_conjecture(rows, records)
+        with pytest.raises(ValueError, match="rep 0"):
+            check_conjecture(rows, records[1:])
 
 
 class TestTheoryReport:
@@ -548,29 +652,36 @@ class TestCli:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_failed_cell_keeps_the_rows_before_it(self, tmp_path, monkeypatch,
                                                   fmt):
-        # the second cell (modified) fails; the first (greedy) is written,
-        # and as a CSV line it is in the file before the second cell runs
+        # the second graph cell (c = 2, m = 500) fails in its modified run;
+        # both rows of the first (c = 1) are written, and as CSV lines they
+        # are in the file before the second graph cell runs
         out = tmp_path / "rows"
         seen = []
+        run_modified_greedy = experiment_harness.run_modified_greedy
 
-        def fail(g, run_seed):
-            seen.append(out.read_text())
-            raise RuntimeError("engine failed")
+        def fail_at_c2(g, run_seed):
+            if g.m_initial == 500:
+                seen.append(out.read_text())
+                raise RuntimeError("engine failed")
+            return run_modified_greedy(g, run_seed)
 
-        monkeypatch.setattr(experiment_harness, "run_modified_greedy", fail)
+        monkeypatch.setattr(experiment_harness, "run_modified_greedy", fail_at_c2)
         with pytest.raises(RuntimeError, match="engine failed"):
-            main(["simulate", "--c", "1", "--kappa", "0.5", "--n", "500",
+            main(["simulate", "--c", "1,2", "--kappa", "0.5", "--n", "500",
                   "--reps", "2", "--step", "1e-4", "--format", fmt,
                   "--out", str(out)])
         if fmt == "csv":
-            header, row = seen[0].splitlines()
+            header, *rows = seen[0].splitlines()
             assert header == ",".join(AGGREGATE_COLUMNS)
-            assert row.startswith("1.0,0.5,500,greedy,2,")
+            assert [r.split(",")[:5] for r in rows] == [
+                ["1.0", "0.5", "500", "greedy", "2"],
+                ["1.0", "0.5", "500", "modified", "2"]]
             assert out.read_text() == seen[0]
         else:
             assert seen == [""]
-            (row,) = json.loads(out.read_text())
-            assert row["algorithm"] == "greedy" and row["reps"] == 2
+            rows = json.loads(out.read_text())
+            assert [(r["c"], r["algorithm"], r["reps"]) for r in rows] == [
+                (1.0, "greedy", 2), (1.0, "modified", 2)]
 
     def test_theory_check_passes(self, capsys):
         rc = main(["theory", "--c", "1,4", "--kappa", "0.5", "--step", "1e-4",
@@ -623,10 +734,9 @@ class TestCli:
     @pytest.mark.parametrize("check, rc", [(False, 0), (True, 1)])
     def test_conjecture_reports_a_violation(self, monkeypatch, capsys, check, rc):
         # greedy beats modified by 0.02 at n = 500, beyond the 0.015 margin
-        rows = [TestConjecture.agg("greedy", 0.2, n=500),
-                TestConjecture.agg("modified", 0.18, n=500)]
+        rows, records = TestConjecture.paired(-0.02, n=500)
         monkeypatch.setattr(rainbow_greedy.cli, "run_monte_carlo",
-                            lambda cfg: (rows, []))
+                            lambda cfg: (rows, records))
         args = ["conjecture", "--c", "1", "--kappa", "0.5", "--n", "500"]
         assert main(args + ["--check"] * check) == rc
         out, err = capsys.readouterr()
