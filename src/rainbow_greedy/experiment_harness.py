@@ -105,16 +105,17 @@ _RUN_SLOT = {"greedy": 1, "modified": 2}   # slot 0 seeds the graph
 # Its time is the sum of one term for generate and one per engine, each per
 # (edge, vertex, color) in ns, fitted at n >= 10^4 to the median of three
 # warm in-process calls, as a sweep makes them, at n = 500 ... 10^6, c in
-# {0.5, 1, 5} and kappa in {0.1, 0.5, 2, 20}. A task's estimate, one engine
-# or both, reads 0.97-1.33x of the measured at n = 10^4, 0.85-1.38x at
-# 10^5, 0.44-0.94x at 10^6 (larger graphs miss the caches more) and
-# 0.53-1.37x at n = 500.
+# {0.5, 1, 5} and kappa in {0.1, 0.5, 2, 20}; the engine terms were refitted
+# once an engine result no longer built its trajectory. A task's estimate,
+# one engine or both, reads 1.03-1.96x of the measured at n = 10^4,
+# 0.81-1.65x at 10^5, 0.57-0.95x at 10^6 (larger graphs miss the caches
+# more) and 0.81-2.56x at n = 500.
 # Its peak is the larger of its reps' (the engines run one after the
 # other on the shared graph). A rep's peak, graph included, is per (edge,
 # vertex, color) in bytes of RSS above the interpreter's; refitted once no
 # layer copied the graph's m rows any more, it reads 5-27 % above the
 # measured peak at n = 10^6 and 5-39 % above it at n = 10^5.
-_REP_NS = {"generate": (64, 1, 0), "greedy": (74, 34, 2), "modified": (119, 93, 2)}
+_REP_NS = {"generate": (64, 1, 0), "greedy": (45, 5, 2), "modified": (85, 21, 2)}
 _REP_BYTES = {"greedy": (38, 22, 11), "modified": (37, 60, 10)}
 _TASK_S = 3e-4   # fixed cost of a task, rep or theory cell
 # A theory cell costs per RK4 step: 850 ns in the modified scalar loop,

@@ -28,25 +28,31 @@ Each engine takes an integer run seed; np.random.default_rng(run_seed)
 makes every draw, so the graph and the seed fix the result, and the
 result echoes the seed.
 
-A result holds the matching as a (mu, 3) int64 array of (u, v, color)
-rows in the order they were matched, and the graph edge ids of those
-rows as a (mu,) int64 array: matching == g.edges[edge_ids]. verify_result
-takes the ids as the proof that each row is an edge of the graph. The
-trajectory is a (steps_total + 1, 4) int64 array with one row
-(t, nu, mu_edges, q_remaining) per step t = 0..steps_total: step count,
-alive vertices, alive edges, unconsumed colors. A caller that wants
-fewer rows slices it.
+A result holds what a sweep records: mu, steps_total and
+isolated_deletions, counted in O(mu) from the matched edges, and the graph
+edge ids of the matching as a (mu,) int64 array in the order matched;
+verify_result takes the ids as the proof that each matched edge is in the
+graph. It keeps a reference to the graph it ran on, so the graph stays
+alive while the result does, and the modified engine's result also keeps
+its vertex turn order (n ids). Two fields are derived on read:
+matching, the (mu, 3) int64 rows (u, v, color) graph.edges[edge_ids],
+gathered at each read; and trajectory, a (steps_total + 1, 4) int64 array
+with one row (t, nu, mu_edges, q_remaining) per step t = 0..steps_total
+(step count, alive vertices, alive edges, unconsumed colors), built in
+O(n + m) the first time it is read and kept. A caller that wants fewer
+rows slices it.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .colored_graph import ColoredGraph
 
-# edges per chunk of _result's death count, at least
+# edges per chunk of _trajectory's death count, at least
 _CHUNK = 1 << 16
 
 # eq=False: the generated == would compare the arrays elementwise
@@ -58,12 +64,29 @@ class MatchingResult:
     q: int
     graph_seed: int | None
     run_seed: int
-    matching: np.ndarray      # (mu, 3) int64 rows (u, v, color)
-    edge_ids: np.ndarray      # (mu,) int64, matching == graph.edges[edge_ids]
+    edge_ids: np.ndarray      # (mu,) int64 graph edge ids, in the order matched
     mu: int
     steps_total: int
     isolated_deletions: int
-    trajectory: np.ndarray = field(repr=False)   # (steps_total + 1, 4) int64
+    graph: ColoredGraph = field(repr=False)   # the graph run on, not a copy
+    # the modified engine's vertices in turn order; None for greedy
+    vertices: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def matching(self) -> np.ndarray:
+        """(mu, 3) int64 rows (u, v, color) in the order matched,
+        graph.edges[edge_ids], gathered at each read."""
+        return self.graph.edges[self.edge_ids]
+
+    @functools.cached_property
+    def trajectory(self) -> np.ndarray:
+        """(steps_total + 1, 4) int64 rows (t, nu, mu_edges, q_remaining),
+        built the first time it is read."""
+        if self.vertices is None:   # greedy matches one edge per step
+            return _trajectory(self.graph, self.edge_ids,
+                               np.arange(1, self.mu + 1), [])
+        return _trajectory(self.graph, self.edge_ids,
+                           *_schedule(self.graph.edges, self.edge_ids, self.vertices))
 
 
 @dataclass
@@ -72,11 +95,10 @@ class VerifyReport:
     failure: str | None = None
 
 
-def _result(algorithm: str, g: ColoredGraph, run_seed: int,
-            taken: np.ndarray, taken_step: np.ndarray,
-            processed: np.ndarray | list[int]) -> MatchingResult:
-    """Assemble a result from the matched edge ids, the step that matched
-    each, and the vertices processed at steps 1, 2, ... in order.
+def _trajectory(g: ColoredGraph, taken: np.ndarray, taken_step: np.ndarray,
+                processed: np.ndarray | list[int]) -> np.ndarray:
+    """The trajectory of a run from the matched edge ids, the step that
+    matched each, and the vertices processed at steps 1, 2, ... in order.
 
     A vertex dies at the step that processes or matches it, a color at
     the step that matches it, and an edge with the first of its endpoints
@@ -85,8 +107,7 @@ def _result(algorithm: str, g: ColoredGraph, run_seed: int,
     """
     n, q, e = g.n_initial, g.q_total, g.edges
     m = len(e)
-    matching = e.take(taken, axis=0)
-    u, v, color = matching.T
+    u, v, color = e.take(taken, axis=0).T
     # steps run up to n + 1; int32 makes the gathers and minimum below
     # cheaper (np.bincount casts it back to intp on its own)
     step = np.int32 if n < 2 ** 31 - 1 else np.int64
@@ -125,12 +146,33 @@ def _result(algorithm: str, g: ColoredGraph, run_seed: int,
     del died
     alive(1, n, np.bincount(vertex_step, minlength=t_end + 1))
     alive(3, q, np.bincount(taken_step, minlength=t_end + 1))
-    return MatchingResult(
-        algorithm=algorithm, n=n, m=m, q=q, graph_seed=g.seed,
-        run_seed=run_seed, matching=matching, edge_ids=taken, mu=len(taken),
-        steps_total=t_end, isolated_deletions=t_end - len(taken),
-        trajectory=trajectory,
-    )
+    return trajectory
+
+
+def _schedule(e: np.ndarray, taken: np.ndarray, vertices: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """The step that matched each of a modified run's taken edges, and the
+    vertices processed at steps 1, 2, ..., from its vertex turn order.
+
+    A matched edge's later endpoint skips its turn; the edge is matched at
+    the step that processes its earlier endpoint.
+    """
+    n = len(vertices)
+    turn = np.empty(n, dtype=np.int64)
+    turn[vertices] = np.arange(n)
+    early, late = _turns(e, taken, turn)
+    del turn
+    processed = np.ones(n, dtype=bool)
+    processed[late] = False
+    return processed.cumsum()[early], vertices[processed]
+
+
+def _turns(e: np.ndarray, taken: np.ndarray, turn: np.ndarray
+           ) -> tuple[np.ndarray, np.ndarray]:
+    """The earlier and the later of each taken edge's endpoint turns."""
+    rows = e.take(taken, axis=0)
+    u, v = turn[rows[:, 0]], turn[rows[:, 1]]
+    return np.minimum(u, v), np.maximum(u, v)
 
 
 def _first_fit(edges: np.ndarray, order: np.ndarray, n: int, q: int) -> np.ndarray:
@@ -187,8 +229,12 @@ def run_greedy(g: ColoredGraph, run_seed: int) -> MatchingResult:
     order = gen.permutation(g.m_initial)
     taken = order[_first_fit(g.edges, order, g.n_initial, g.q_total)]
     del order
-    return _result("greedy", g, run_seed, taken,
-                   np.arange(1, len(taken) + 1), [])
+    # every step matches an edge, and the last match kills the last edge
+    mu = len(taken)
+    return MatchingResult(
+        algorithm="greedy", n=g.n_initial, m=g.m_initial, q=g.q_total,
+        graph_seed=g.seed, run_seed=run_seed, edge_ids=taken, mu=mu,
+        steps_total=mu, isolated_deletions=0, graph=g)
 
 
 def run_modified_greedy(g: ColoredGraph, run_seed: int) -> MatchingResult:
@@ -223,35 +269,38 @@ def run_modified_greedy(g: ColoredGraph, run_seed: int) -> MatchingResult:
     del perm, key
     taken = order[_first_fit(e, order, n, g.q_total)]
     del order
-    # a matched edge's later endpoint skips its turn; the edge is matched
-    # at the step its earlier endpoint's turn is processed
-    u, v = turn[e[taken, 0]], turn[e[taken, 1]]
-    del turn
-    processed = np.ones(n, dtype=bool)
-    processed[np.maximum(u, v)] = False
-    taken_step = processed.cumsum()[np.minimum(u, v)]
-    vertices = vertices[processed]
-    del processed, u, v
-    return _result("modified", g, run_seed, taken, taken_step, vertices)
+    # Edges die only at the steps that match: a vertex deleted as isolated
+    # has no live edge left. So the run ends at the step of the last match,
+    # the one at the latest earlier-endpoint turn w of a matched edge. The
+    # steps up to it process the turns 0..w, less those of the matched
+    # edges' later endpoints, which skip their turns.
+    mu = len(taken)
+    steps = 0
+    if mu:
+        early, late = _turns(e, taken, turn)
+        w = int(early.max())
+        steps = w + 1 - int(np.count_nonzero(late <= w))
+    return MatchingResult(
+        algorithm="modified", n=n, m=m, q=g.q_total, graph_seed=g.seed,
+        run_seed=run_seed, edge_ids=taken, mu=mu, steps_total=steps,
+        isolated_deletions=steps - mu, graph=g, vertices=vertices)
 
 
 def verify_result(g0: ColoredGraph, result: MatchingResult) -> VerifyReport:
     """Check a result against the original graph it was produced from.
 
     The edge ids are the certificate that the matching is in the graph:
-    each must be in range, and each matched row must equal the graph edge
-    its id names. On those rows it confirms that endpoints are pairwise
-    disjoint (a repeated id repeats its vertices), colors are pairwise
-    distinct, the matching is maximal (no edge has both endpoints
-    unmatched and an unused color), and the counters are mutually
-    consistent. Reports the first failing check.
+    each must be in range, and the graph edges they name are the matched
+    rows. On those rows it confirms that endpoints are pairwise disjoint
+    (a repeated id repeats its vertices), colors are pairwise distinct,
+    the matching is maximal (no edge has both endpoints unmatched and an
+    unused color), and the counters are mutually consistent. Reports the
+    first failing check.
     """
-    mt, ids = np.asarray(result.matching), np.asarray(result.edge_ids)
-    if (mt.shape != (result.mu, 3) or ids.shape != (result.mu,)
-            or ids.dtype.kind not in "iu"):
-        return VerifyReport(False, f"malformed result: mu={result.mu}, matching "
-                                   f"shape {mt.shape}, edge_ids shape {ids.shape} "
-                                   f"dtype {ids.dtype}")
+    ids = np.asarray(result.edge_ids)
+    if ids.shape != (result.mu,) or ids.dtype.kind not in "iu":
+        return VerifyReport(False, f"malformed result: mu={result.mu}, edge_ids "
+                                   f"shape {ids.shape} dtype {ids.dtype}")
     if result.steps_total != result.isolated_deletions + result.mu:
         return VerifyReport(False, "steps_total != isolated_deletions + mu")
 
@@ -260,10 +309,6 @@ def verify_result(g0: ColoredGraph, result: MatchingResult) -> VerifyReport:
     if i is not None:
         return VerifyReport(False, f"edge id {ids[i]} out of range for {len(e)} edges")
     rows = e[ids]
-    i = _first((rows != mt).any(axis=1))
-    if i is not None:
-        return VerifyReport(False, f"row {tuple(mt[i].tolist())} is not graph edge id "
-                                   f"{ids[i]} {tuple(rows[i].tolist())}")
     degree = np.bincount(rows[:, :2].ravel(), minlength=g0.n_initial)
     i = _first(degree > 1)
     if i is not None:

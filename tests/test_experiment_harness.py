@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import pytest
 
 import rainbow_greedy
-from rainbow_greedy import experiment_harness
+from rainbow_greedy import experiment_harness, greedy_engines
 from rainbow_greedy.cli import main
 from rainbow_greedy.experiment_harness import (
     AGGREGATE_COLUMNS,
@@ -214,6 +214,23 @@ class TestMonteCarlo:
         rows, _ = run_monte_carlo(cfg)
         for r in rows:
             assert r.abs_deviation < 0.02
+
+    def test_records_build_no_trajectory_or_matching(self, monkeypatch):
+        # a rep reads only the counters; the derived fields cost nothing
+        # unless read
+        def never(*args):
+            raise AssertionError("a sweep built a derived result field")
+
+        monkeypatch.setattr(greedy_engines, "_trajectory", never)
+        monkeypatch.setattr(greedy_engines.MatchingResult, "matching",
+                            property(never))
+        cfg = small_cfg(c_values=(0.5, 3.0), kappa_values=(0.1, 2.0), reps=2)
+        assert experiment_harness._pool_size(
+            [experiment_harness._task_cost(t)
+             for t in experiment_harness._sweep_tasks(cfg)]) == 1
+        rows, records = run_monte_carlo(cfg)
+        assert len(records) == 16
+        assert all(r.steps_total == r.mu + r.isolated_deletions for r in records)
 
     def test_deviation_shrinks_with_n(self):
         # the scaled process converges: per-cell deviation from the ODE

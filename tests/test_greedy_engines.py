@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from rainbow_greedy import greedy_engines
 from rainbow_greedy.colored_graph import ColoredGraph, generate
 from rainbow_greedy.greedy_engines import (
-    MatchingResult,
     _first_fit,
     run_greedy,
     run_modified_greedy,
@@ -20,10 +20,18 @@ def fresh(seed=7, n=400, m=500, q=150):
     return generate(n, m, q, seed=seed)
 
 
+# what a result reports; its graph and turn order are inputs to the
+# derived fields, not outputs
+FIELDS = ("algorithm", "n", "m", "q", "graph_seed", "run_seed", "edge_ids", "mu",
+          "steps_total", "isolated_deletions", "matching", "trajectory")
+
+
 def as_lists(r):
-    """A result's fields, arrays as nested lists, to compare with ==."""
+    """A result's reported fields, arrays as nested lists, to compare with
+    ==; the matching and the trajectory are read, so built, here."""
+    values = {k: getattr(r, k) for k in FIELDS}
     return {k: v.tolist() if isinstance(v, np.ndarray) else v
-            for k, v in vars(r).items()}
+            for k, v in values.items()}
 
 
 class TestGreedy:
@@ -160,23 +168,29 @@ def negative_id(r):
 
 def repeated_id(r):
     # a repeated id repeats its row, so it reuses that row's vertices
-    r.edge_ids[1], r.matching[1] = r.edge_ids[0], r.matching[0]
+    r.edge_ids[1] = r.edge_ids[0]
 
 
-def id_names_another_edge(r):
-    r.edge_ids[:2] = r.edge_ids[1::-1].copy()
+def id_names_same_color_edge(r):
+    # the first id names an edge off the matched vertices whose color
+    # another matched edge has
+    e = r.graph.edges
+    matched = np.zeros(r.n, dtype=bool)
+    matched[e[r.edge_ids, :2]] = True
+    taken_color = np.isin(e[:, 2], e[r.edge_ids[1:], 2])
+    r.edge_ids[0] = np.flatnonzero(~matched[e[:, 0]] & ~matched[e[:, 1]] & taken_color)[0]
 
 
-def row_claims_another_color(r):
-    r.matching[0, 2] = r.matching[0, 2] % r.q + 1
+def ids_as_column(r):
+    r.edge_ids = r.edge_ids[:, None]
 
 
 BAD_CERTIFICATES = [
     (id_at_m, "edge id 500 out of range for 500 edges"),
     (negative_id, "edge id -1 out of range for 500 edges"),
     (repeated_id, "not a matching: vertex"),
-    (id_names_another_edge, "is not graph edge id"),
-    (row_claims_another_color, "is not graph edge id"),
+    (id_names_same_color_edge, "not rainbow: color"),
+    (ids_as_column, "malformed result"),
 ]
 
 
@@ -200,7 +214,6 @@ class TestVerify:
     def test_flags_vertex_reuse(self):
         g0 = ColoredGraph(3, 2, [(0, 1, 1), (1, 2, 2)])
         r = run_greedy(ColoredGraph(3, 2, [(0, 1, 1), (1, 2, 2)]), 0)
-        r.matching = np.array([(0, 1, 1), (1, 2, 2)])
         r.edge_ids = np.array([0, 1])
         r.mu = 2
         r.steps_total = 2
@@ -211,7 +224,6 @@ class TestVerify:
     def test_flags_repeated_color(self):
         g0 = ColoredGraph(4, 2, [(0, 1, 1), (2, 3, 1)])
         r = run_greedy(ColoredGraph(4, 2, [(0, 1, 1), (2, 3, 1)]), 0)
-        r.matching = np.array([(0, 1, 1), (2, 3, 1)])
         r.edge_ids = np.array([0, 1])
         r.mu = 2
         r.steps_total = 2
@@ -223,7 +235,6 @@ class TestVerify:
         g = fresh()
         for runner in (run_greedy, run_modified_greedy):
             r = runner(g, 17)
-            r.matching = r.matching[:-1]
             r.edge_ids = r.edge_ids[:-1]
             r.mu -= 1
             r.steps_total -= 1
@@ -240,10 +251,15 @@ class TestVerify:
     def test_flags_malformed_result(self):
         g = fresh()
         r = run_greedy(g, 17)
-        r.matching = r.matching[:, :2]
+        r.edge_ids = r.edge_ids[:-1]
         rep = verify_result(g, r)
         assert not rep.ok
-        assert "malformed result" in rep.failure and f"({r.mu}, 2)" in rep.failure
+        assert "malformed result" in rep.failure and f"({r.mu - 1},)" in rep.failure
+        r = run_greedy(g, 17)
+        r.edge_ids = r.edge_ids.astype(float)
+        rep = verify_result(g, r)
+        assert not rep.ok
+        assert "dtype float64" in rep.failure
         r = run_greedy(generate(5, 0, 2, seed=1), 0)
         r.edge_ids = np.array([])
         rep = verify_result(generate(5, 0, 2, seed=1), r)
@@ -310,14 +326,14 @@ class Replay:
         self.rows.append(self.row())
 
     def result(self, algorithm, g, run_seed):
-        return MatchingResult(
+        """The run's reported fields, as as_lists gives an engine's."""
+        return dict(
             algorithm=algorithm, n=self.n, m=len(self.edges), q=self.q,
-            graph_seed=g.seed, run_seed=run_seed,
-            matching=np.array(self.matching, dtype=np.int64).reshape(-1, 3),
-            edge_ids=np.array(self.edge_ids, dtype=np.int64),
+            graph_seed=g.seed, run_seed=run_seed, edge_ids=self.edge_ids,
             mu=len(self.matching), steps_total=self.t,
             isolated_deletions=self.isolated,
-            trajectory=np.array(self.rows, dtype=np.int64))
+            matching=[list(row) for row in self.matching],
+            trajectory=[list(row) for row in self.rows])
 
 
 def reference_greedy(g, run_seed):
@@ -368,8 +384,8 @@ def assert_same_as_reference(g, seed):
     for engine, reference in ENGINES:
         got = engine(g, seed)
         want = reference(g, seed)
-        assert as_lists(got) == as_lists(want), (engine.__name__, g.n_initial,
-                                                 g.m_initial, seed)
+        assert as_lists(got) == want, (engine.__name__, g.n_initial,
+                                       g.m_initial, seed)
         assert got.matching.dtype == got.edge_ids.dtype == got.trajectory.dtype == np.int64
         assert got.matching.shape == (got.mu, 3)
         assert np.array_equal(g.edges[got.edge_ids], got.matching)
@@ -589,12 +605,42 @@ def test_outputs_and_random_stream_frozen(case):
     assert got == want
 
 
+# the frozen cells, and one color-starved cell (c = 5, kappa = 0.01)
+CELLS = {**{case: shape for case, (shape, _) in FROZEN.items()},
+         "color_starved": (2000, 5000, 20, 8)}
+
+
+@pytest.mark.parametrize("case", list(CELLS))
+def test_counters_agree_with_the_trajectory(case, monkeypatch):
+    """The engines count the steps without building the trajectory; built
+    from the result on first read, it ends at the step that kills the
+    last edge, and steps_total is that step."""
+    def never(*args):
+        raise AssertionError("an engine built the trajectory")
+
+    n, m, q, seed = CELLS[case]
+    g = generate(n, m, q, seed)
+    with monkeypatch.context() as patch:
+        patch.setattr(greedy_engines, "_trajectory", never)
+        results = [run(g, seed + 100) for run in (run_greedy, run_modified_greedy)]
+    for r in results:
+        trajectory = r.trajectory
+        assert r.trajectory is trajectory   # built once
+        assert r.steps_total == len(trajectory) - 1
+        assert r.steps_total == r.mu + r.isolated_deletions
+        assert trajectory[-1, 2] == 0
+        if len(trajectory) > 1:
+            assert trajectory[-2, 2] > 0
+        with pytest.raises(AttributeError):
+            r.matching = r.matching
+
+
 # tracemalloc peak of each layer in bytes per edge at n = 2 * 10^4, c = 5,
-# kappa = 1/2, 14-16 % above the measured: generate 44, greedy 47 and
-# modified 54 with the graph they read, verify_result 11 above the graph and
-# the result (the graph's edges alone take 24). A layer that keeps one more
-# m-long int64 copy adds 8 and fails its budget.
-PEAK_BYTES_PER_EDGE = {"generate": 51, "greedy": 54, "modified": 62, "verify": 12.5}
+# kappa = 1/2, 14-16 % above the measured: generate 44, greedy 41.8 and
+# modified 54.4 with the graph they read, verify_result 10.9 above the graph
+# and the result (the graph's edges alone take 24). A layer that keeps one
+# more m-long int64 copy adds 8 and fails its budget.
+PEAK_BYTES_PER_EDGE = {"generate": 51, "greedy": 48, "modified": 62, "verify": 12.5}
 
 
 @pytest.mark.parametrize("algo", ["greedy", "modified"])
