@@ -66,11 +66,6 @@ class OdeTrajectory:
     mu_over_n: float         # tau0 for greedy, 1 - tau0 for modified
 
 
-# Crossover width around kappa = 1/2 inside which the general closed form is
-# ill-conditioned (it divides by (2 kappa - 1)^2) and the half-density cubic
-# is used instead.
-HALF_CROSSOVER = 1e-4
-
 _ROOT_TOL = 1e-10
 
 
@@ -214,52 +209,53 @@ def tau0_closed_half(c: float) -> float:
 
 
 def tau0_general(params: TheoryParams) -> float:
-    """First positive zero of M via the closed form, to full float precision
-    unless the zero z* below is close to 1.
+    """First positive zero of M via the closed form, within a few ulps.
 
-    M has the sign of f (module docstring). In the gap variable
-    z = (kappa - tau) / (kappa (1 - 2 tau)), with
-    tau = kappa (1 - z) / (1 - 2 z kappa), f is
-        g(z) = log z + 2 kappa (1 - z) + c (2 kappa - 1)^2 / (2 kappa),
-    and g(1) = f(0) > 0. For kappa < 1/2, z falls from 1 to 0 as tau
-    runs to kappa, and g increases on (0, 1]; for kappa > 1/2, z grows
-    without bound as tau runs to 1/2, and g decreases on [1, inf). So g has
-    one zero, which a bisection in z finds down to adjacent floats. When
-    colors are scarce that zero is below float resolution and tau0 rounds
-    to kappa. Near kappa = 1/2 this delegates to the exact half-density
-    formula. The last float in z costs tau0 a relative ulp(z*) kappa
-    (1 - 2 tau0)^2 / (tau0 |2 kappa - 1|), large where z* is close to 1:
-    for small c (about 2 kappa eps / (c |2 kappa - 1|)) and near 1/2.
-
-    When c (2 kappa - 1)^2 / (2 kappa) overflows, kappa > 1/2 bisects
-    g / (2 kappa) instead, whose terms stay finite: tau0 tends to 1/2 as c
-    grows and to c / (2 (c + 1)) as kappa grows; tau0 is then taken from
-    w = 1/z, which stays finite however large z is.
+    M has the sign of f (module docstring). With u = tau / (1 - 2 tau),
+    z = (kappa - tau) / (kappa (1 - 2 tau)) and y = z - 1 = (2 kappa - 1) u
+    / kappa, kappa f / (2 kappa - 1)^2 = c/2 - u - u^2 psi(y) / kappa with
+    psi(y) = (y - log z) / y^2 > 0. The subtracted terms grow with tau and
+    never cancel, so one bisection in tau over [0, min(1/2, kappa, c/2)]
+    (u >= c/2 at tau = c/2) finds the zero to adjacent floats, next to
+    kappa = 1/2 too; only at 1/2 itself does f vanish, and tau0 is the
+    cubic's root. Scarce colors put the zero closer to kappa than float
+    resolution, and tau0 is kappa. z is computed directly, not as 1 + y,
+    and u^2 / kappa as u (u / kappa), so extreme c or kappa neither
+    overflow nor lose bits.
     """
     c, kap = params.c, params.kappa
-    e = 2.0 * kap - 1.0
-    if abs(e) < HALF_CROSSOVER:
+    if kap == 0.5:
         return tau0_closed_half(c)
-    base = c * e * e / (2.0 * kap)
-    # g <= 0 at `past` (tau at or beyond the zero) and g > 0 at `before`.
-    # For kappa < 1/2, 0 < 2 kappa (1 - z) < 2 kappa on (0, 1) puts the zero
-    # in [e^(-base - 2 kappa), e^(-base)]; the extra factor e^-1 keeps
-    # g(past) < 0 through rounding, and an overflowing base gives tau0 =
-    # kappa. For kappa > 1/2, log z <= z - 1 gives g <= -e at 2 + base / e.
-    if e > 0.0 and not math.isfinite(base):
-        # g / (2 kappa), with e / (2 kappa) = 1 - 1 / (2 kappa)
-        shrink = 1.0 - 0.5 / kap
-        past = _bisect(lambda z: math.log(z) / (2.0 * kap) + 1.0 - z
-                       + c * shrink * shrink > 0.0, 2.0 + c * shrink, 1.0)
-        # tau = (1/z - 1) / (1/(kappa z) - 2): finite for every finite z >= 1
-        return (1.0 / past - 1.0) / (1.0 / (kap * past) - 2.0)
-    if e < 0.0:
-        past, before = math.exp(-base - 2.0 * kap - 1.0), math.exp(-base)
-    else:
-        past, before = 2.0 + base / e, 1.0
-    past = _bisect(lambda z: math.log(z) + 2.0 * kap * (1.0 - z) + base > 0.0,
-                   past, before)
-    return kap * (1.0 - past) / (1.0 - 2.0 * past * kap)
+    e = 2.0 * kap - 1.0
+    half_c = c / 2.0
+
+    def positive(tau):
+        s = 1.0 - 2.0 * tau
+        u = tau / s
+        y = e * (u / kap) if kap <= 1.0 else (2.0 - 1.0 / kap) * u
+        z = (kap - tau) / (kap * s)
+        return half_c > u + u * (u / kap) * _psi(y, z)
+
+    return _bisect(positive, min(0.5, kap, half_c), 0.0)
+
+
+def _psi(y: float, z: float) -> float:
+    """(y - log z) / y^2 for z = 1 + y. Where that cancels, |y| < 1/2, it is
+    r (1 - 2 s r sum_(k>=0) s^(2k) / (2k + 3)) with r = 1 / (2 + y) and
+    s = y r (log z = 2 atanh(s)), summed until a term no longer changes
+    the sum, at most 17 terms."""
+    if abs(y) >= 0.5:
+        return (y - math.log(z)) / (y * y)
+    r = 1.0 / (2.0 + y)
+    s = y * r
+    s2 = s * s
+    total, power, k = 0.0, 1.0, 3.0
+    while True:
+        nxt = total + power / k
+        if nxt == total:
+            break
+        total, power, k = nxt, power * s2, k + 2.0
+    return r * (1.0 - 2.0 * s * r * total)
 
 
 def _bisect(positive, past: float, before: float) -> float:

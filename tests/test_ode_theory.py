@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from rainbow_greedy import ode_theory
 from rainbow_greedy.ode_theory import (
-    HALF_CROSSOVER,
     IntegrationFailure,
     OdeTrajectory,
     TheoryParams,
@@ -41,29 +40,13 @@ TAU0_FROZEN = {
 }
 
 
-# First zeros of f_kappa next to the half-density crossover, computed once
-# with mpmath at 60 digits and frozen here. The scalar scan in _tau0_scan is
-# up to 4.5e-12 off them (at c = 0.5, kappa = 0.501).
-TAU0_NEAR_HALF = {
-    (0.5, 0.499): 0.14640783010236255,
-    (1.0, 0.499): 0.21124798222079733,
-    (3.0, 0.499): 0.3108640653944695,
-    (5.0, 0.499): 0.3490567029821069,
-    (8.0, 0.499): 0.3785171159170739,
-    (0.5, 0.501): 0.1464852413966537,
-    (1.0, 0.501): 0.21140144922169354,
-    (3.0, 0.501): 0.3111707673729272,
-    (5.0, 0.501): 0.3494309972342988,
-    (8.0, 0.501): 0.3789460057988915,
-}
-
-# First zeros of f_kappa in [0, min(1/2, kappa)), computed once with mpmath
-# 1.3.0 at 60 digits (bisection of g(z) = log z + 2 kappa (1 - z) +
-# c (2 kappa - 1)^2 / (2 kappa) in log z, mapped back through
-# tau = kappa (1 - z) / (1 - 2 z kappa)) and frozen here, rounded to the
-# nearest float. On these cells z* is far enough from 1 that tau0_general
-# has full float precision: kappa < 1/2, kappa > 1/2, and the last five
-# cells, where c (2 kappa - 1)^2 / (2 kappa) overflows.
+# First zeros of f_kappa in (0, min(1/2, kappa)), each the nearest float to
+# the root of tests/freeze_tau0_roots.py: bisection of the original f_kappa
+# in tau at 100 digits, the same float at 150. They take in small c (down to
+# 1e-300), kappa next to 1/2 on both sides (down to 1/2 +- 1e-10, and
+# 3.75e-12 at c = 2.2e-6), kappa up to 1e8, and the cells where
+# c (2 kappa - 1)^2 / (2 kappa) overflows (1e150 <= kappa <= 1e200 and
+# c = 1e308).
 TAU0_MPMATH_FULL = {
     (1.0, 0.3): 0.18634764131103723,
     (3.0, 0.1): 0.09999556377364682,
@@ -79,28 +62,64 @@ TAU0_MPMATH_FULL = {
     (50.0, 20.0): 0.48996982824961877,
     (1e6, 3.0): 0.4999994000026569,
     (20.0, 1e5): 0.47619038007063724,
+    (1.0, 1e8): 0.249999999808217,
+    (3.0, 1e6): 0.3749999747858461,
+    (8.0, 1e7): 0.44444444265346433,
+    (1e-6, 1e8): 4.999995000004988e-07,
     (0.5, 1e200): 0.16666666666666666,
     (3.0, 1e160): 0.375,
     (1e5, 1e152): 0.4999950000499995,
     (1e10, 1e150): 0.49999999995,
     (1e308, 10.0): 0.5,
-}
-
-# The same, where z* is within about c |2 kappa - 1| / (2 kappa) of 1 and
-# tau0_general loses relative precision: small c (the last cell through
-# the overflowing-base branch) and kappa next to the crossover.
-TAU0_MPMATH_LOSS = {
+    # small c
     (1e-3, 0.7): 0.000499322445676975,
     (1e-6, 0.7): 4.999993214295901e-07,
     (1e-9, 0.7): 4.999999993214286e-10,
     (1e-12, 0.7): 4.999999999993214e-13,
     (1e-3, 0.2): 0.0004988776808062326,
     (1e-9, 0.2): 4.999999988750001e-10,
+    (1e-5, 1e200): 4.999950000499995e-06,
+    (1e-300, 0.7): 5e-301,
+    (1e-300, 0.2): 5e-301,
+    (1e-300, 0.5000001): 5e-301,
+    (1e-300, 1e8): 5e-301,
+    # kappa next to 1/2
     (0.5, 0.499): 0.14640783010236255,
+    (1.0, 0.499): 0.21124798222079733,
+    (3.0, 0.499): 0.3108640653944695,
+    (5.0, 0.499): 0.3490567029821069,
+    (8.0, 0.499): 0.3785171159170739,
     (0.5, 0.501): 0.1464852413966537,
+    (1.0, 0.501): 0.21140144922169354,
+    (3.0, 0.501): 0.3111707673729272,
+    (5.0, 0.501): 0.3494309972342988,
     (8.0, 0.501): 0.3789460057988915,
     (1.0, 0.4998): 0.2113095127728174,
-    (1e-5, 1e200): 4.999950000499995e-06,
+    (1e-6, 0.49996): 4.999992499812484e-07,
+    (1e-6, 0.50004): 4.999992500212484e-07,
+    (1e-6, 0.4999999): 4.999992500011999e-07,
+    (1e-6, 0.5000001): 4.999992500013e-07,
+    (1e-6, 0.4999999999): 4.999992500012499e-07,
+    (1e-6, 0.5000000001): 4.9999925000125e-07,
+    (0.5, 0.49996): 0.14644506106855262,
+    (0.5, 0.50004): 0.14644815750919757,
+    (0.5, 0.4999999): 0.14644660553617472,
+    (0.5, 0.5000001): 0.1464466132772763,
+    (0.5, 0.4999999999): 0.1464466094028557,
+    (0.5, 0.5000000001): 0.14644660941059678,
+    (1.0, 0.49996): 0.21132179583712757,
+    (1.0, 0.50004): 0.21132793449425977,
+    (1.0, 0.4999999): 0.21132485773186424,
+    (1.0, 0.5000001): 0.21132487307850698,
+    (1.0, 0.4999999999): 0.2113248653975138,
+    (1.0, 0.5000000001): 0.21132486541286044,
+    (8.0, 0.49996): 0.37872360874629496,
+    (8.0, 0.50004): 0.3787407642121871,
+    (8.0, 0.4999999): 0.37873216603749515,
+    (8.0, 0.5000001): 0.37873220892615933,
+    (8.0, 0.4999999999): 0.37873218746038917,
+    (8.0, 0.5000000001): 0.37873218750327786,
+    (2.2e-6, 0.50000000000375): 1.09999637001331e-06,
 }
 
 # The cells of the 40 x 60 log grid over c in [0.05, 20] x kappa in
@@ -250,8 +269,10 @@ class TestTau0General:
             t0 = tau0_general(TheoryParams(c, kappa))
             assert m_closed_general(t0, c, kappa) == pytest.approx(0.0, abs=1e-9)
 
-    def test_delegates_inside_crossover(self):
-        assert tau0_general(TheoryParams(1.0, 0.5 + 4e-5)) == tau0_closed_half(1.0)
+    @pytest.mark.parametrize("c", [1e-300, 1e-6, 0.5, 1.0, 2.5, 8.0, 1e308])
+    def test_exact_half_is_the_closed_form(self, c):
+        # f vanishes identically at kappa = 1/2; tau0 is the cubic's root
+        assert tau0_general(TheoryParams(c, 0.5)) == tau0_closed_half(c)
 
     def test_continuous_through_crossover(self):
         t_half = tau0_closed_half(1.0)
@@ -262,35 +283,11 @@ class TestTau0General:
         # the zero is within float spacing of kappa itself here
         assert tau0_general(TheoryParams(8.0, 0.05625)) == 0.05625
 
-    def test_near_half_against_frozen_roots(self):
-        for (c, kappa), want in TAU0_NEAR_HALF.items():
-            assert tau0_general(TheoryParams(c, kappa)) == pytest.approx(want, abs=1e-12)
-
     @pytest.mark.parametrize("c, kappa", TAU0_MPMATH_FULL)
     def test_full_float_precision(self, c, kappa):
         want = TAU0_MPMATH_FULL[c, kappa]
         got = tau0_general(TheoryParams(c, kappa))
         assert abs(got - want) <= 2 * math.ulp(want)
-
-    @pytest.mark.parametrize("c, kappa", TAU0_MPMATH_LOSS)
-    def test_precision_loss_is_bounded(self, c, kappa):
-        # The bisection stops at adjacent floats in z, so z carries an error
-        # of ulp(z*), and tau = kappa (1 - z) / (1 - 2 z kappa) turns it into
-        # a relative error of ulp(z*) * L with
-        #     L = kappa (1 - 2 tau0)^2 / (tau0 |2 kappa - 1|).
-        # L is large where z* is close to 1: for small c, where tau0 ~ c/2
-        # and L ~ 2 kappa / (c |2 kappa - 1|), about 3.5 eps / c at
-        # kappa = 0.7 (1e-16/c and more), and next to the crossover.
-        # Rounding in g and in the map adds a few eps and, where
-        # 1 - 2 z kappa cancels, eps |kappa - tau0| / |2 kappa - 1|.
-        want = TAU0_MPMATH_LOSS[c, kappa]
-        got = tau0_general(TheoryParams(c, kappa))
-        eps = 2.0 ** -52
-        z = (kappa - want) / (kappa * (1.0 - 2.0 * want))
-        loss = kappa * (1.0 - 2.0 * want) ** 2 / (want * abs(2.0 * kappa - 1.0))
-        bound = (math.ulp(z) * loss
-                 + eps * (4.0 + abs(kappa - want) / abs(2.0 * kappa - 1.0)))
-        assert abs(got - want) <= bound * want
 
     @pytest.mark.parametrize("c, kappa, want", [
         (1.0, 1e200, 0.25), (1.0, 1e308, 0.25),   # kappa -> inf: c / (2 (c + 1))
@@ -621,7 +618,7 @@ def _modified_loop(params, step):
 
 def _tau0_scan(params):
     c, kap = params.c, params.kappa
-    if abs(2.0 * kap - 1.0) < HALF_CROSSOVER:
+    if abs(2.0 * kap - 1.0) < 1e-4:   # f_kappa's guard; see TAU0_MPMATH_FULL
         return tau0_closed_half(c)
     T = min(0.5, kap)
 
@@ -717,8 +714,8 @@ def test_integrate_modified_stiff_corners(c, kappa, step, raised):
 
 def test_tau0_general_same_as_scalar_scan():
     for c in GRID_C:
-        # next to the crossover the scan loses digits; see TAU0_NEAR_HALF
-        for kappa in GRID_KAPPA + (0.3, 0.5 + 4e-5, 50.0):
+        # next to kappa = 1/2 the scan loses digits; see TAU0_MPMATH_FULL
+        for kappa in GRID_KAPPA + (0.3, 50.0):
             got = tau0_general(TheoryParams(c, kappa))
             assert type(got) is float
             assert got == pytest.approx(_tau0_scan(TheoryParams(c, kappa)),

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from rainbow_greedy.ode_theory import HALF_CROSSOVER, OdeTrajectory, TheoryParams
+from rainbow_greedy.ode_theory import OdeTrajectory, TheoryParams
 
 
 # -- edge greedy closed forms ---------------------------------------------------
@@ -30,11 +30,11 @@ def f_kappa(tau: float, c: float, kappa: float) -> float:
 
     m_closed_general(tau) = (kappa - tau)(1 - 2 tau)^2 / (2 kappa - 1)^2
                             * f_kappa(tau),
-    so M and f_kappa vanish together.
+    so M and f_kappa vanish together. Both cancel next to kappa = 1/2, so
+    |2 kappa - 1| < 1e-4 is refused.
     """
-    if abs(2.0 * kappa - 1.0) < HALF_CROSSOVER:
-        raise ValueError("kappa is inside the half-density crossover; use "
-                         "m_closed_half")
+    if abs(2.0 * kappa - 1.0) < 1e-4:
+        raise ValueError("kappa is within 5e-5 of 1/2; use m_closed_half")
     if not 0 <= tau < min(0.5, kappa):
         raise ValueError(f"tau={tau} outside [0, min(1/2, kappa))")
     e = 2.0 * kappa - 1.0
