@@ -112,9 +112,14 @@ _RUN_SLOT = {"greedy": 1, "modified": 2}   # slot 0 seeds the graph
 # more) and 0.81-2.56x at n = 500.
 # Its peak is the larger of its reps' (the engines run one after the
 # other on the shared graph). A rep's peak, graph included, is per (edge,
-# vertex, color) in bytes of RSS above the interpreter's; refitted once no
-# layer copied the graph's m rows any more, it reads 5-27 % above the
-# measured peak at n = 10^6 and 5-39 % above it at n = 10^5.
+# vertex, color) in bytes of RSS above the interpreter's, refitted once no
+# layer copied the graph's m rows any more. Once an engine result no
+# longer built its matching and trajectory, greedy's estimate read
+# 1.04-1.19x of the measured peak at n = 10^6 and 0.36-0.98x at 10^5 (one
+# rep per process, c in {0.5, 1, 5}, kappa in {0.1, 0.5, 2, 20}, growth of
+# ru_maxrss from before the first generate); at 10^5 that peak includes
+# about 6 MB of one-off first-call allocations that the model omits.
+# Modified's peak, set by its sort key, was not re-measured then.
 _REP_NS = {"generate": (64, 1, 0), "greedy": (45, 5, 2), "modified": (85, 21, 2)}
 _REP_BYTES = {"greedy": (38, 22, 11), "modified": (37, 60, 10)}
 _TASK_S = 3e-4   # fixed cost of a task, rep or theory cell
@@ -233,7 +238,6 @@ class RunRecord:
     mu_over_n: float
     steps_total: int
     isolated_deletions: int
-    runtime_seconds: float    # generate_seconds + engine_seconds
     generate_seconds: float
     engine_seconds: float
 
@@ -477,8 +481,7 @@ def _cell_results(cell, runs, theory: float
             c=c, kappa=kappa, n=n, algorithm=algo, rep=rep,
             graph_seed=graph_seed, run_seed=run_seed, mu=mu,
             mu_over_n=mu / n, steps_total=steps, isolated_deletions=isolated,
-            runtime_seconds=gen_s + eng_s, generate_seconds=gen_s,
-            engine_seconds=eng_s))
+            generate_seconds=gen_s, engine_seconds=eng_s))
     reps = len(records)
     mus = [r.mu_over_n for r in records]
     mean = fmean(mus)
@@ -487,7 +490,8 @@ def _cell_results(cell, runs, theory: float
     row = AggregateRow(c=c, kappa=kappa, n=n, algorithm=algo, reps=reps,
                        mean_mu_over_n=mean, stderr=se, theory_mu_over_n=theory,
                        abs_deviation=dev,
-                       runtime_seconds=sum(r.runtime_seconds for r in records))
+                       runtime_seconds=sum(r.generate_seconds + r.engine_seconds
+                                           for r in records))
     return row, records
 
 
