@@ -447,8 +447,8 @@ class TestPool:
         rows, records = run_monte_carlo(small_cfg())
         for r in records:
             assert r.generate_seconds >= 0 and r.engine_seconds >= 0
-        assert rows[0].runtime_seconds == sum(r.generate_seconds + r.engine_seconds
-                                              for r in records[:3])
+        assert rows[0].runtime_seconds == sum(
+            r.generate_seconds + r.engine_seconds for r in records[:3])
 
 
 class TestConventionStatement:
@@ -856,8 +856,8 @@ class TestCli:
         assert out.read_text() == "earlier output\n"
 
     def test_theory_at_largest_c(self, capsys):
-        # the root z of the gap variable is beyond 9e307; tau0 is the
-        # c -> inf limit 1/2
+        # 1 - 2 tau0 is of order 1 / c, far below float resolution at 1/2;
+        # tau0 is the c -> inf limit 1/2
         assert main(["theory", "--c", "1.7e308", "--kappa", "2"]) == 0
         row = capsys.readouterr().out.split("\n")[1].split(",")
         assert row[2] == "0.5"

@@ -2,7 +2,7 @@
 
 Each is an independent statement of a result that the package computes
 another way: the closed forms of the edge-greedy ODE (the package bisects
-their root in a gap variable and integrates the ODE by RK4), the leading
+their root in tau and integrates the ODE by RK4), the leading
 series of the near-half constant, the large-kappa correction and its
 leading root estimate, and the convexity of N * Q along a modified
 trajectory.
