@@ -283,6 +283,16 @@ class TestTau0General:
         # the zero is within float spacing of kappa itself here
         assert tau0_general(TheoryParams(8.0, 0.05625)) == 0.05625
 
+    def test_near_half_against_frozen_roots(self):
+        # kappa = 1/2 -+ 1e-3, on both sides of the one special case: each
+        # root to 2 ulps, and the pair brackets the kappa = 1/2 closed form
+        for c in (0.5, 1.0, 3.0, 5.0, 8.0):
+            below, above = (tau0_general(TheoryParams(c, k)) for k in (0.499, 0.501))
+            for kappa, got in ((0.499, below), (0.501, above)):
+                want = TAU0_MPMATH_FULL[c, kappa]
+                assert abs(got - want) <= 2 * math.ulp(want)
+            assert below < tau0_closed_half(c) < above
+
     @pytest.mark.parametrize("c, kappa", TAU0_MPMATH_FULL)
     def test_full_float_precision(self, c, kappa):
         want = TAU0_MPMATH_FULL[c, kappa]
