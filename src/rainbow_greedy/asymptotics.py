@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .ode_theory import TheoryParams
+from .ode_theory import TheoryParams, _psi
 
 # tau0_large_kappa admits c down to this fraction of the nominal threshold
 # large_kappa_threshold(kappa), so that useful parameter points just below
@@ -71,11 +71,12 @@ def near_half_alpha(params: TheoryParams) -> float:
     c (2 kappa - 1)^2 / (2 kappa) + log(1/(2 kappa)) + (2 kappa - 1).
 
     Vanishes quadratically at kappa = 1/2: to leading order it is
-    eps^2 (c + 1/2) - eps^3 (c + 1/3) with eps = 2 kappa - 1.
+    eps^2 (c + 1/2) - eps^3 (c + 1/3) with eps = 2 kappa - 1. Evaluated as
+    eps^2 (c / (2 kappa) + psi(eps)) with ode_theory._psi, which does not cancel.
     """
     c, kap = params.c, params.kappa
     e = 2.0 * kap - 1.0
-    return c * e * e / (2.0 * kap) + math.log(1.0 / (2.0 * kap)) + e
+    return e * e * (c / (2.0 * kap) + _psi(e, 2.0 * kap))
 
 
 def tau0_near_half(params: TheoryParams) -> Bracket:

@@ -11,8 +11,9 @@ done. In-process that is one line per finished cell; on a pool, which
 runs the heaviest reps first, the cheap first cells tend to finish last,
 so most lines come near the end of the sweep. If a cell fails, the rows
 before it stay written, as CSV lines or as a JSON array.
-Human-readable notes go to stderr. simulate, theory and table take
---step; asymptotics and conjecture report no ODE value and reject it.
+Human-readable notes go to stderr. theory and table take --step;
+simulate's theory column is always at each integrator's default step, and
+asymptotics and conjecture report no ODE value, so those three reject it.
 Exit codes: 0 success, 1 a --check (the command validating its own
 output) failed, 2 an argument error, raised before --out is opened; that
 includes a --c or --kappa value that is not finite and positive.
@@ -137,7 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grid_flags(p)
     _add_sweep_flags(p)
     p.add_argument("--algo", default="both", choices=("greedy", "modified", "both"))
-    _add_step_flag(p)
     _add_output_flags(p)
 
     p = sub.add_parser("theory", help="ODE point predictions per (c, kappa)")
@@ -173,8 +173,7 @@ def _cmd_simulate(args) -> int:
     algos = ("greedy", "modified") if args.algo == "both" else (args.algo,)
     cfg = _sweep_config(
         c_values=args.c, kappa_values=args.kappa, n_values=args.n,
-        algorithms=algos, reps=args.reps, master_seed=args.seed,
-        ode_step=args.step)
+        algorithms=algos, reps=args.reps, master_seed=args.seed)
     with _table(AGGREGATE_COLUMNS, args) as write:
         rows, _ = run_monte_carlo(cfg, on_row=lambda row: write([asdict(row)]))
     if any(r.algorithm == "greedy" and r.kappa == 0.5 for r in rows):

@@ -36,7 +36,6 @@ reports deltas against both so the two never get conflated.
 from __future__ import annotations
 
 import contextlib
-import functools
 import json
 import math
 import os
@@ -55,7 +54,6 @@ from .ode_theory import (
     modified_upper_bound,
     tau0_general,
     _modified_default_step,
-    _validate_step,
 )
 from .asymptotics import (
     RegimeError,
@@ -181,7 +179,6 @@ class ExperimentConfig:
     algorithms: tuple[str, ...] = _ALGORITHMS
     reps: int = 20
     master_seed: int = 20250819
-    ode_step: float | None = None   # None: each integrator's own default
 
     def __post_init__(self):
         if self.reps < 1:
@@ -195,8 +192,6 @@ class ExperimentConfig:
             raise ValueError(f"n_values must be >= 100, got {self.n_values}")
         if not self.algorithms or any(a not in _ALGORITHMS for a in self.algorithms):
             raise ValueError(f"algorithms must be drawn from {_ALGORITHMS}")
-        if self.ode_step is not None:
-            _validate_step(self.ode_step)
         for n in self.n_values:
             for k in self.kappa_values:
                 if not k * n < math.inf:
@@ -256,16 +251,14 @@ class AggregateRow:
     runtime_seconds: float    # sum over reps; not wall time when pooled
 
 
-@functools.lru_cache(maxsize=None)
-def theory_mu_over_n(c: float, kappa: float, algorithm: str,
-                     step: float | None = None) -> float:
-    """Predicted matching density for one cell; nan when the modified
-    integrator refuses the cell (e.g. an explicit step too coarse for
-    c/kappa)."""
+def theory_mu_over_n(c: float, kappa: float, algorithm: str) -> float:
+    """Predicted matching density for one cell, at each integrator's default
+    step; nan when the modified integrator refuses the cell (c/kappa above
+    about 2.8e6, where the default step passes RK4's stability limit)."""
     if algorithm == "greedy":
         return tau0_general(TheoryParams(c, kappa))
     try:
-        return integrate_modified(TheoryParams(c, kappa), step=step).mu_over_n
+        return integrate_modified(TheoryParams(c, kappa)).mu_over_n
     except IntegrationFailure:
         return math.nan
 
@@ -503,27 +496,30 @@ def run_monte_carlo(cfg: ExperimentConfig, on_row=None
     aggregate row, in cell order, once that cell's graph cell (c, kappa, n)
     and every graph cell before it have finished, so a caller can write
     rows while the sweep runs and keep them if a later graph cell fails.
-    The theory values are computed here while the reps run.
+    The theory values are computed here while the reps run, once per (c,
+    kappa, algorithm), as they do not depend on n.
     """
     cells = cfg.cells()
     algos = len(cfg.algorithms)
     graphs = len(cells) // algos
     tasks = _sweep_tasks(cfg)
-    tasks = _grouping(tasks, _pool_size([_task_cost(t) for t in tasks]))
+    # workers for the split shape, which can use two even for one pair
+    tasks = _grouping(tasks, _pool_size([_task_cost(t) for t in _unpaired(tasks)]))
     per_graph = len(tasks) // graphs
     rows: list[AggregateRow] = []
     records: list[RunRecord] = []
     with _dispatch(_run_rep, tasks, [_task_cost(t) for t in tasks]) as results:
-        theories = [theory_mu_over_n(c, kappa, algo, cfg.ode_step)
-                    for c, kappa, _, algo in cells]
+        theories = {key: theory_mu_over_n(*key) for key in dict.fromkeys(
+            (c, kappa, algo) for c, kappa, _, algo in cells)}
         for g in range(graphs):
             runs = {}   # algorithm -> its reps' (graph_seed, run_seed, outcome)
             for *_, graph_seed, task_runs in tasks[g * per_graph:(g + 1) * per_graph]:
                 for (algo, run_seed), outcome in zip(task_runs, next(results)):
                     runs.setdefault(algo, []).append((graph_seed, run_seed, outcome))
             for k in range(g * algos, (g + 1) * algos):
-                row, cell_records = _cell_results(cells[k], runs[cells[k][3]],
-                                                  theories[k])
+                c, kappa, _, algo = cells[k]
+                row, cell_records = _cell_results(cells[k], runs[algo],
+                                                  theories[c, kappa, algo])
                 rows.append(row)
                 records.extend(cell_records)
                 if on_row is not None:
@@ -639,7 +635,7 @@ class ConjectureRow:
     mean_greedy: float
     mean_modified: float
     diff: float     # modified minus greedy
-    margin: float   # 3 * standard error of the per-rep paired differences
+    margin: float   # 3 * standard error of the per-rep paired differences, or nan
     status: str     # "consistent with conjecture" | "inconclusive (margin)" | "violation"
 
 
@@ -652,8 +648,9 @@ def check_conjecture(rows: list[AggregateRow],
     for only one algorithm is skipped. A cell is a violation only when
     greedy beats modified by more than 3 standard errors of the paired
     differences: per rep, modified's mu/n minus greedy's on their shared
-    graph. Raises ValueError when the records lack a pair on one graph for
-    a rep of such a cell.
+    graph. With one rep the margin is nan and the cell inconclusive, as
+    one difference has no spread to judge it by. Raises ValueError when
+    the records lack a pair on one graph for a rep of such a cell.
     """
     by_cell: dict[tuple[float, float, int], dict[str, AggregateRow]] = {}
     for r in rows:
@@ -675,7 +672,7 @@ def check_conjecture(rows: list[AggregateRow],
                                  f"for rep {rep} of (c={c}, kappa={kappa}, n={n})")
             diffs.append(runs["modified"].mu_over_n - runs["greedy"].mu_over_n)
         diff = mg.mean_mu_over_n - g.mean_mu_over_n
-        margin = 3.0 * stdev(diffs) / math.sqrt(len(diffs)) if len(diffs) > 1 else 0.0
+        margin = 3.0 * stdev(diffs) / math.sqrt(len(diffs)) if len(diffs) > 1 else math.nan
         if diff < -margin:
             status = "violation"
         elif diff > margin:

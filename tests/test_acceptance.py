@@ -57,7 +57,7 @@ def report(capsys, num: int, ok: bool, detail: str) -> None:
 def sweep():
     cfg = ExperimentConfig(c_values=TABLE_C, kappa_values=(0.5,),
                            n_values=(100_000,), reps=20,
-                           master_seed=SWEEP_SEED, ode_step=1e-4)
+                           master_seed=SWEEP_SEED)
     rows, records = run_monte_carlo(cfg)
     return cfg, rows, records
 

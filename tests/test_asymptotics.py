@@ -13,6 +13,7 @@ from rainbow_greedy.asymptotics import (
     tau0_small_kappa_bounds,
 )
 from rainbow_greedy.ode_theory import TheoryParams, tau0_closed_half, tau0_general
+from test_ode_theory import TAU0_MPMATH_FULL
 from theory_oracles import (
     epsilon_kappa,
     large_kappa_leading_estimate,
@@ -49,13 +50,16 @@ class TestAlpha:
             0.013780729286584206, abs=1e-12)
 
     def test_series_agreement(self):
-        # relative error under 10 eps^2 for |eps| <= 0.1
+        # relative error under 10 eps^2 for |eps| <= 0.1, down to |eps| =
+        # 1e-8, where a difference of logs would have lost every digit;
+        # 1e-14 allows for rounding
         for c in (0.5, 1.0, 3.0):
-            for eps in (-0.1, -0.05, -0.01, 0.01, 0.05, 0.1):
+            for eps in (-0.1, -0.05, -0.01, -1e-5, -1e-6, -1e-8,
+                        1e-8, 1e-6, 1e-5, 0.01, 0.05, 0.1):
                 p = TheoryParams(c, (1 + eps) / 2)
                 exact = near_half_alpha(p)
                 series = near_half_alpha_series(p)
-                assert abs(exact - series) <= 10 * eps * eps * abs(exact)
+                assert abs(exact - series) <= (10 * eps * eps + 1e-14) * abs(exact)
 
     def test_positive_off_half(self):
         for kappa in (0.45, 0.48, 0.52, 0.55, 0.7):
@@ -80,6 +84,14 @@ class TestNearHalf:
         assert above.estimate == above.lower
         below = tau0_near_half(TheoryParams(1.0, 0.45))
         assert below.estimate == below.upper
+
+    @pytest.mark.parametrize("c, kappa", [
+        cell for cell in TAU0_MPMATH_FULL if 0 < abs(2 * cell[1] - 1) < 1e-5])
+    def test_contains_frozen_roots_next_to_half(self, c, kappa):
+        # the gate admits every frozen cell within 1e-5 of kappa = 1/2, and
+        # the bracket holds its 100-digit root
+        b = tau0_near_half(TheoryParams(c, kappa))
+        assert b.contains(TAU0_MPMATH_FULL[c, kappa])
 
     def test_collapses_to_half_limit(self):
         b = tau0_near_half(TheoryParams(1.0, 0.5 + 1e-5))

@@ -31,12 +31,12 @@ from rainbow_greedy.experiment_harness import (
     greedy_convention_statement,
     reproduce_reference_table,
     run_monte_carlo,
-    theory_mu_over_n,
     theory_report,
     to_csv,
     to_json,
 )
 from rainbow_greedy.ode_theory import (
+    IntegrationFailure,
     TheoryParams,
     integrate_modified,
     tau0_closed_half,
@@ -46,7 +46,7 @@ from rainbow_greedy.ode_theory import (
 
 def small_cfg(**kw):
     base = dict(c_values=(1.0,), kappa_values=(0.5,), n_values=(500,),
-                reps=3, master_seed=11, ode_step=1e-4)
+                reps=3, master_seed=11)
     base.update(kw)
     return ExperimentConfig(**base)
 
@@ -98,11 +98,6 @@ class TestConfig:
         with pytest.raises(ValueError, match="c=100"):
             small_cfg(c_values=(100.0,), n_values=(100,))
 
-    @pytest.mark.parametrize("step", [0.0, -1e-5, 1e-7, 0.02, math.nan])
-    def test_rejects_bad_ode_step(self, step):
-        with pytest.raises(ValueError, match="step"):
-            small_cfg(ode_step=step)
-
     def test_rejects_cell_beyond_physical_memory(self):
         # q = 10^11 colors: about 1100 GB by the estimate, 11 B per color
         with pytest.raises(ValueError, match=r"kappa=1000000.0, n=100000 "
@@ -119,7 +114,7 @@ class TestMonteCarlo:
         # round(0.01 * 100 / 2) = 0 edges
         cfg = ExperimentConfig(c_values=(0.01,), kappa_values=(0.5,),
                                n_values=(100,), algorithms=("greedy",),
-                               reps=1, master_seed=3, ode_step=1e-4)
+                               reps=1, master_seed=3)
         rows, records = run_monte_carlo(cfg)
         assert rows[0].mean_mu_over_n == 0.0
         assert rows[0].stderr == 0.0
@@ -190,24 +185,41 @@ class TestMonteCarlo:
         assert first[0] == "1.0" and first[3] == "greedy" and first[4] == "3"
 
     def test_nan_theory_becomes_null_in_json(self):
-        # no modified prediction at (c=100, kappa=0.01): step 1e-2 is far
-        # too coarse for c/kappa = 10^4, so the integration runs away
-        cfg = ExperimentConfig(c_values=(100.0,), kappa_values=(0.01,),
-                               n_values=(200,), algorithms=("modified",),
-                               reps=1, master_seed=5, ode_step=1e-2)
+        # no modified prediction at c/kappa = 3e6: the default step's 1e-6
+        # floor is past RK4's stability limit there, and the integrator
+        # refuses the cell after about 10^6 steps (about 1 s). As c/kappa =
+        # 2m/q, no such cell has fewer than 1.4e6 edges; here q = 1 and
+        # m = 1.5e6.
+        cfg = ExperimentConfig(c_values=(300.0,), kappa_values=(1e-4,),
+                               n_values=(10_000,), algorithms=("modified",),
+                               reps=1, master_seed=5)
         rows, _ = run_monte_carlo(cfg)
         assert math.isnan(rows[0].theory_mu_over_n)
         payload = json.loads(sweep_json(rows))
         assert payload[0]["theory_mu_over_n"] is None
 
-    def test_theory_values_computed_once_per_cell(self):
-        theory_mu_over_n.cache_clear()
+    def test_theory_values_computed_once_per_cell(self, monkeypatch):
+        # theory does not depend on n: one value per (c, kappa, algorithm)
+        # in each sweep, and none kept from an earlier sweep
+        calls = []
+
+        def counted(fn):
+            def wrapper(params):
+                calls.append(fn.__name__)
+                return fn(params)
+            return wrapper
+
+        monkeypatch.setattr(experiment_harness, "integrate_modified",
+                            counted(integrate_modified))
+        monkeypatch.setattr(experiment_harness, "tau0_general",
+                            counted(tau0_general))
+        cfg = small_cfg(n_values=(500, 600))
+        for sweep in (1, 2):
+            rows, _ = run_monte_carlo(cfg)
+            assert calls == ["tau0_general", "integrate_modified"] * sweep
         p = TheoryParams(1.0, 0.5)
-        want = integrate_modified(p, step=1e-4).mu_over_n
-        assert theory_mu_over_n(1.0, 0.5, "modified", 1e-4) == want
-        assert theory_mu_over_n(1.0, 0.5, "modified", 1e-4) == want
-        assert theory_mu_over_n(1.0, 0.5, "greedy", 1e-4) == tau0_general(p)
-        assert theory_mu_over_n.cache_info()[:2] == (1, 2)   # hits, misses
+        assert [r.theory_mu_over_n for r in rows] == [
+            tau0_general(p), integrate_modified(p).mu_over_n] * 2
 
     def test_small_sweep_tracks_theory(self):
         cfg = small_cfg(n_values=(3000,), reps=6)
@@ -238,8 +250,7 @@ class TestMonteCarlo:
         devs = {}
         for n in (1000, 100_000):
             cfg = ExperimentConfig(c_values=(1.0,), kappa_values=(0.5,),
-                                   n_values=(n,), reps=20, master_seed=424242,
-                                   ode_step=1e-4)
+                                   n_values=(n,), reps=20, master_seed=424242)
             rows, _ = run_monte_carlo(cfg)
             for r in rows:
                 devs[(r.algorithm, n)] = r.abs_deviation
@@ -298,6 +309,28 @@ class TestPool:
         tasks = experiment_harness._sweep_tasks(ExperimentConfig(**shape))
         assert len(experiment_harness._grouping(tasks, 2)) == count
         assert experiment_harness._grouping(tasks, 1) == tasks
+
+    def test_one_pair_splits_across_two_workers(self, monkeypatch):
+        # one graph cell, one rep, estimated above _POOL_MIN_WORK_S: its two
+        # runs go to two workers, with the records of the paired run
+        cfg = ExperimentConfig(c_values=(5.0,), kappa_values=(0.5,),
+                               n_values=(200_000,), reps=1, master_seed=11)
+        monkeypatch.setattr(experiment_harness, "_cpus", lambda: 1)
+        rows, records = run_monte_carlo(cfg)
+        dispatched = []
+        dispatch = experiment_harness._dispatch
+
+        def spy(fn, tasks, costs):
+            dispatched.append((len(tasks), experiment_harness._pool_size(costs)))
+            return dispatch(fn, tasks, costs)
+
+        monkeypatch.setattr(experiment_harness, "_dispatch", spy)
+        monkeypatch.setattr(experiment_harness, "_cpus", lambda: 2)
+        pooled_rows, pooled_records = run_monte_carlo(cfg)
+        assert dispatched == [(2, 2)]   # tasks, workers
+        assert multiprocessing.active_children() == []
+        assert without_runtimes(pooled_rows) == without_runtimes(rows)
+        assert without_runtimes(pooled_records) == without_runtimes(records)
 
     def test_paired_task_cost(self):
         # one generate and both engines; the larger of the two reps' peaks
@@ -563,6 +596,17 @@ class TestConjecture:
         assert row.diff == pytest.approx(diff, abs=1e-15)
         assert row.status == status
 
+    def test_one_rep_is_inconclusive(self):
+        # one paired difference has no spread to judge it by: greedy ahead
+        # by 0.02 is no violation, and the nan margin is null in JSON
+        rows, records = self.paired(-0.02)
+        for r in rows:
+            r.reps = 1
+        (row,) = check_conjecture(rows, [r for r in records if r.rep == 0])
+        assert row.status == "inconclusive (margin)"
+        assert math.isnan(row.margin)
+        assert json.loads(to_json([asdict(row)]))[0]["margin"] is None
+
     def test_one_row_per_cell_sorted_by_n(self):
         rows, records = [], []
         for n, algorithms in ((2000, ("modified", "greedy")),
@@ -627,7 +671,7 @@ class TestAsymptoticsReport:
 class TestCli:
     def test_simulate_csv(self, capsys):
         rc = main(["simulate", "--c", "1", "--kappa", "0.5", "--n", "500",
-                   "--reps", "2", "--seed", "7", "--step", "1e-4", "--check"])
+                   "--reps", "2", "--seed", "7", "--check"])
         captured = capsys.readouterr()
         assert rc == 0
         lines = captured.out.strip().split("\n")
@@ -637,7 +681,7 @@ class TestCli:
 
     def test_simulate_json(self, capsys):
         rc = main(["simulate", "--c", "1", "--kappa", "0.5", "--n", "500",
-                   "--reps", "2", "--step", "1e-4", "--format", "json"])
+                   "--reps", "2", "--format", "json"])
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert len(payload) == 2
@@ -646,7 +690,7 @@ class TestCli:
     def test_simulate_out_file(self, tmp_path, capsys):
         out = tmp_path / "rows.csv"
         rc = main(["simulate", "--c", "1", "--kappa", "0.5", "--n", "500",
-                   "--reps", "2", "--step", "1e-4", "--out", str(out)])
+                   "--reps", "2", "--out", str(out)])
         assert rc == 0
         assert out.read_text().startswith(",".join(AGGREGATE_COLUMNS))
         assert capsys.readouterr().out == ""
@@ -658,7 +702,7 @@ class TestCli:
         monkeypatch.setattr(experiment_harness, "time",
                             SimpleNamespace(perf_counter=lambda: 0.0))
         argv = ["simulate", "--c", "1,3", "--kappa", "0.5", "--n", "500",
-                "--reps", "2", "--step", "1e-4", "--format", fmt]
+                "--reps", "2", "--format", fmt]
         assert main(argv) == 0
         stdout = capsys.readouterr().out
         out = tmp_path / "rows"
@@ -685,7 +729,7 @@ class TestCli:
         monkeypatch.setattr(experiment_harness, "run_modified_greedy", fail_at_c2)
         with pytest.raises(RuntimeError, match="engine failed"):
             main(["simulate", "--c", "1,2", "--kappa", "0.5", "--n", "500",
-                  "--reps", "2", "--step", "1e-4", "--format", fmt,
+                  "--reps", "2", "--format", fmt,
                   "--out", str(out)])
         if fmt == "csv":
             header, *rows = seen[0].splitlines()
@@ -811,15 +855,17 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             main([command, "--step", step, "--out", str(out)])
         assert exc.value.code == 2
-        if command not in ("asymptotics", "conjecture"):   # no --step there
+        if command in ("theory", "table"):   # the others take no --step
             assert "argument --step" in capsys.readouterr().err
         assert out.read_text() == "earlier output\n"
 
-    @pytest.mark.parametrize("command", ["asymptotics", "conjecture"])
+    @pytest.mark.parametrize("command", ["asymptotics", "conjecture",
+                                         "simulate"])
     def test_step_is_not_an_option_without_ode_output(self, tmp_path, capsys,
                                                       command):
-        # neither command reports an ODE value, so even a valid step is
-        # an unknown argument
+        # asymptotics and conjecture report no ODE value, and simulate's
+        # theory column is always at the default step, so even a valid step
+        # is an unknown argument
         out = tmp_path / "kept.csv"
         out.write_text("earlier output\n")
         with pytest.raises(SystemExit) as exc:
@@ -876,42 +922,52 @@ class TestCli:
         #   (1, 0.52):  0.2128018672329324894519067292339710382722
         #   (3, 0.52):  0.3139516054962162238060009192000388686171
         #   (3, 10):    0.3724457434888861964804104493069887250332
+        # The near-half lower endpoints are within 1.5 ulps of their
+        # 50-digit values (0.20624730867551881078, 0.30745488831169980933).
         assert main(["asymptotics"]) == 0
         assert capsys.readouterr().out == (
             "c,kappa,regime,lower,estimate,upper,tau0_exact,contained\n"
-            "1.0,0.52,near-half,0.20624730867551555,0.20624730867551555,"
-            "0.21642357320487982,0.2128018672329325,True\n"
-            "3.0,0.52,near-half,0.30745488831169887,0.30745488831169887,"
-            "0.3177289990116521,0.31395160549621626,True\n"
+            "1.0,0.52,near-half,0.20624730867551877,0.20624730867551877,"
+            "0.2164235732048831,0.2128018672329325,True\n"
+            "3.0,0.52,near-half,0.3074548883116998,0.3074548883116998,"
+            "0.317728999011653,0.31395160549621626,True\n"
             "3.0,10.0,large-kappa,0.37244560493506573,0.37244581180670716,"
             "0.3724460186776775,0.3724457434888862,True\n")
 
-    @pytest.mark.parametrize("argv, nulls", [
-        pytest.param(["simulate", "--c", "100", "--kappa", "0.01", "--n",
-                      "2000", "--reps", "2", "--step", "1e-2", "--algo",
-                      "modified"],
-                     ["theory_mu_over_n", "abs_deviation"], id="simulate"),
-        pytest.param(["simulate", "--c", "1000", "--kappa", "0.001", "--n",
-                      "2000", "--reps", "1", "--step", "1e-3", "--algo",
-                      "modified"],
+    @pytest.mark.parametrize("argv, nulls, refusal", [
+        pytest.param(["simulate", "--c", "1", "--kappa", "0.5", "--n", "500",
+                      "--reps", "2", "--algo", "modified"],
                      ["theory_mu_over_n", "abs_deviation"],
+                     "integral-form residual exceeds 1e-05", id="simulate"),
+        pytest.param(["simulate", "--c", "1", "--kappa", "0.5", "--n", "500",
+                      "--reps", "1", "--algo", "modified"],
+                     ["theory_mu_over_n", "abs_deviation"],
+                     "e^-lambda overflows in an RK4 stage",
                      id="simulate-overflow"),
         pytest.param(["theory", "--c", "6", "--kappa", "0.075"],
-                     ["tau0_greedy_numeric"], id="theory"),
+                     ["tau0_greedy_numeric"], None, id="theory"),
         pytest.param(["theory", "--c", "1000", "--kappa", "0.001", "--step",
                       "1e-3"],
                      ["tau0_greedy_numeric", "tau0_modified", "mu_modified"],
-                     id="theory-overflow"),
-        pytest.param(["table", "--step", "1e-3"], [], id="table"),
-        pytest.param(["asymptotics"], [], id="asymptotics"),
+                     None, id="theory-overflow"),
+        pytest.param(["table", "--step", "1e-3"], [], None, id="table"),
+        pytest.param(["asymptotics"], [], None, id="asymptotics"),
         pytest.param(["conjecture", "--c", "1", "--kappa", "0.5", "--n", "500",
-                      "--reps", "2"], [], id="conjecture"),
+                      "--reps", "2"], [], None, id="conjecture"),
     ])
-    def test_json_rows_have_the_csv_columns(self, capsys, argv, nulls):
-        # the nulls are the values no prediction gives: at step 1e-2 the
-        # modified ODE runs away at c/kappa = 10^4, at step 1e-3 its
-        # e^-lambda overflows at c/kappa = 10^6, and at (6, 0.075) the
-        # greedy root lies within one step of kappa
+    def test_json_rows_have_the_csv_columns(self, monkeypatch, capsys, argv,
+                                            nulls, refusal):
+        # the nulls are the values no prediction gives: at step 1e-3 the
+        # modified ODE's e^-lambda overflows at c/kappa = 10^6, and at
+        # (6, 0.075) the greedy root lies within one step of kappa. A sweep
+        # cell the integrator refuses at the default step (c/kappa above
+        # about 2.8e6; TestMonteCarlo runs one, at about 1 s) is stood in
+        # for by a stub that fails as the integrator does.
+        def refuse(params):
+            raise IntegrationFailure(refusal)
+
+        if refusal is not None:
+            monkeypatch.setattr(experiment_harness, "integrate_modified", refuse)
         assert main(argv) == 0
         header = capsys.readouterr().out.split("\n")[0].split(",")
         if argv[0] == "simulate":
