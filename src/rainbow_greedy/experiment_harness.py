@@ -17,15 +17,14 @@ run_monte_carlo (one task per graph, or per run where that finishes a
 pool sooner), theory_report (one per (c, kappa) cell) and
 reproduce_reference_table (one per row) run their tasks
 through _dispatch, which hands back their values in task order: on a
-fork pool when the machine and the work allow it, in-process otherwise,
-with the same results either way. The pool has as
+fork pool when _plan estimates that it finishes sooner than in-process,
+in-process otherwise, with the same results either way. The pool has as
 many workers as there are usable CPUs, tasks, and copies of the largest
 task's estimated peak memory that fit in the available memory, and takes
-the heaviest tasks first. A call runs in-process when that is fewer than
-2 workers, when fork is not available, when other threads are running,
-or when its estimated serial work is below _POOL_MIN_WORK_S. Theory
-values and the rows' and records' assembly stay in the calling process:
-a rep's task returns a plain tuple.
+the heaviest tasks first. A call also runs in-process when that is fewer
+than 2 workers, when fork is not available or when other threads are
+running. Theory values and the rows' and records' assembly stay in the
+calling process: a rep's task returns a plain tuple.
 
 Reported densities use the m = round(c n / 2) convention, i.e. c is the
 average initial degree. The tabulated reference values' greedy column
@@ -107,19 +106,23 @@ _RUN_SLOT = {"greedy": 1, "modified": 2}   # slot 0 seeds the graph
 # once an engine result no longer built its trajectory. A task's estimate,
 # one engine or both, reads 1.03-1.96x of the measured at n = 10^4,
 # 0.81-1.65x at 10^5, 0.57-0.95x at 10^6 (larger graphs miss the caches
-# more) and 0.81-2.56x at n = 500.
+# more) and 0.81-2.56x at n = 500. Checked again on the same grid at
+# n >= 10^4 in two runs, paired and one-engine tasks: 0.93-1.48x (median
+# 1.16) and 0.60-1.36x (median 0.93) at 10^5, while the measured times
+# themselves moved by 0.63-1.93x (median 1.36x) between the runs, so the
+# terms were kept.
 # Its peak is the larger of its reps' (the engines run one after the
 # other on the shared graph). A rep's peak, graph included, is per (edge,
-# vertex, color) in bytes of RSS above the interpreter's, refitted once no
-# layer copied the graph's m rows any more. Once an engine result no
-# longer built its matching and trajectory, greedy's estimate read
-# 1.04-1.19x of the measured peak at n = 10^6 and 0.36-0.98x at 10^5 (one
-# rep per process, c in {0.5, 1, 5}, kappa in {0.1, 0.5, 2, 20}, growth of
-# ru_maxrss from before the first generate); at 10^5 that peak includes
-# about 6 MB of one-off first-call allocations that the model omits.
-# Modified's peak, set by its sort key, was not re-measured then.
+# vertex, color) in bytes of RSS above the interpreter's: one rep per
+# process, c in {0.5, 1, 5}, kappa in {0.1, 0.5, 2, 20}, growth of
+# ru_maxrss from before the first generate, with numpy.random imported
+# before it as a sweep does (importing it costs about 6 MB). Greedy's
+# estimate reads 0.97-1.19x of the measured peak at n = 10^5 and
+# 1.12-1.37x at 10^6. Modified's, set by its sort key, was refitted once
+# engine results no longer built their matching and trajectory, and reads
+# 0.93-1.10x at 10^5 and 1.02-1.15x at 10^6.
 _REP_NS = {"generate": (64, 1, 0), "greedy": (45, 5, 2), "modified": (85, 21, 2)}
-_REP_BYTES = {"greedy": (38, 22, 11), "modified": (37, 60, 10)}
+_REP_BYTES = {"greedy": (38, 22, 11), "modified": (44, 34, 10)}
 _TASK_S = 3e-4   # fixed cost of a task, rep or theory cell
 # A theory cell costs per RK4 step: 850 ns in the modified scalar loop,
 # 100 ns in its Newton refinement and 45 ns in integrate_greedy, and its
@@ -133,12 +136,16 @@ _TASK_S = 3e-4   # fixed cost of a task, rep or theory cell
 _ODE_NS = (850, 100, 45)
 _ODE_BYTES_PER_STEP = 20
 
-# A fork pool of 2 workers takes 9-10 ms to start, run two trivial tasks
-# and stop (median of 20 cycles, three runs: 9.2-9.9 ms, quartiles
-# 8.7-10.4 ms), most of it forking and reaping the workers; a call whose
-# estimated serial work is below 5 times 10 ms runs in-process. (A spawn
-# pool took 260 ms, as each worker imports numpy afresh.)
-_POOL_MIN_WORK_S = 0.05
+# A fork pool finishes later than its tasks' estimated makespan: it forks
+# and reaps its workers, and the workers start cold (first-touch page
+# faults) and share the cores' caches and memory bandwidth. Measured in a
+# warm process on 8 shapes (perfbench's two Monte Carlo passes, one (c,
+# kappa) cell at n = 10^5 with 4 and with 20 reps, one pair at n = 2*10^5,
+# c = 5, theory_report over 48 cells and the reference table at step
+# 1e-5), as the median of 15 pooled calls less the median of 15 in-process
+# ones scaled by the estimated makespan's share of the serial seconds, it
+# was -15 ... 62 ms, with a median of 28 ms.
+_POOL_START_S = 0.028
 
 
 def _per_size(coef: tuple[int, int, int], n: int, m: int, q: int) -> int:
@@ -346,33 +353,58 @@ def _pool_results(workers: dict, count: int):
         yield value
 
 
-def _pool_size(costs: list[tuple[float, int]]) -> int:
-    """Workers for tasks of these estimated (seconds, peak bytes); fewer
-    than 2 means in-process."""
-    if (sum(s for s, _ in costs) < _POOL_MIN_WORK_S
-            or threading.active_count() > 1):
-        return 1
-    import multiprocessing   # here, so that small calls never pay for the import
+def _makespan(seconds: list[float], workers: int) -> float:
+    """Estimated seconds until `workers`, each claiming the heaviest task
+    left, as _dispatch's pool does, have run tasks of these seconds."""
+    loads = [0.0] * workers
+    for s in sorted(seconds, reverse=True):
+        loads[loads.index(min(loads))] += s
+    return max(loads)
+
+
+def _plan(candidates: list[list[tuple[float, int]]]) -> tuple[int, int]:
+    """(index, workers): which of the candidate task lists to run, given
+    each task's estimated (seconds, peak bytes), and on how many workers;
+    1 worker means in-process.
+
+    In-process runs the first list, costed as the sum of its seconds. A
+    fork pool runs whichever list it is estimated to finish soonest:
+    its _makespan on the workers _workers allows, plus _POOL_START_S. The
+    pool is planned only when that beats in-process, when no other thread
+    is running and when fork is available.
+    """
+    best, plan = sum(s for s, _ in candidates[0]), (0, 1)
+    cpus, available = _cpus(), _available_memory()
+    for index, costs in enumerate(candidates):
+        workers = _workers(cpus, len(costs), available,
+                           max((b for _, b in costs), default=0))
+        if workers > 1:
+            pooled = _makespan([s for s, _ in costs], workers) + _POOL_START_S
+            if pooled < best:
+                best, plan = pooled, (index, workers)
+    if plan[1] == 1 or threading.active_count() > 1:
+        return 0, 1
+    import multiprocessing   # here, so that in-process calls never pay for the import
     if "fork" not in multiprocessing.get_all_start_methods():
-        return 1
-    return _workers(_cpus(), len(costs), _available_memory(),
-                    max(b for _, b in costs))
+        return 0, 1
+    return plan
 
 
 @contextlib.contextmanager
-def _dispatch(fn, tasks: list, costs: list[tuple[float, int]]):
+def _dispatch(fn, tasks: list, costs: list[tuple[float, int]], size: int):
     """Start fn, a module-level function, over the tasks and yield an
     iterator of fn(task) for each task in task order; costs holds each
-    task's estimated (seconds, peak bytes).
+    task's estimated (seconds, peak bytes), and size is _plan's worker
+    count.
 
-    In-process, the tasks run lazily as the iterator is read. On a fork
-    pool they start at once, heaviest first, and _pool_results puts them
-    back in task order, raising a failed task's exception in its turn.
+    In-process (size < 2), the tasks run lazily as the iterator is read.
+    On a fork pool they start at once, heaviest first, and _pool_results
+    puts them back in task order, raising a failed task's exception in its
+    turn.
     The workers inherit the tasks at fork; each claims the next one from
     a shared counter and sends its result back on a pipe of its own. No
     worker outlives the block, however it exits.
     """
-    size = _pool_size(costs)
     if size < 2:
         yield map(fn, tasks)
         return
@@ -421,25 +453,6 @@ def _unpaired(tasks: list) -> list:
     the graph from the shared seed, so its outcome does not change."""
     return [(n, m, q, graph_seed, (run,))
             for n, m, q, graph_seed, runs in tasks for run in runs]
-
-
-def _makespan(tasks: list, workers: int) -> float:
-    """Estimated seconds until `workers`, each claiming the heaviest task
-    left, as _dispatch's pool does, have run all the tasks."""
-    loads = [0.0] * workers
-    for s in sorted((_task_cost(t)[0] for t in tasks), reverse=True):
-        loads[loads.index(min(loads))] += s
-    return max(loads)
-
-
-def _grouping(tasks: list, workers: int) -> list:
-    """The sweep's tasks as dispatched: one per graph, unless one per run is
-    estimated to finish sooner on a pool of `workers`, as when a few heavy
-    graphs would leave workers idle."""
-    if workers < 2:
-        return tasks
-    split = _unpaired(tasks)
-    return split if _makespan(split, workers) < _makespan(tasks, workers) else tasks
 
 
 def _run_rep(task) -> tuple[tuple[int, int, int, float, float], ...]:
@@ -502,13 +515,20 @@ def run_monte_carlo(cfg: ExperimentConfig, on_row=None
     cells = cfg.cells()
     algos = len(cfg.algorithms)
     graphs = len(cells) // algos
-    tasks = _sweep_tasks(cfg)
-    # workers for the split shape, which can use two even for one pair
-    tasks = _grouping(tasks, _pool_size([_task_cost(t) for t in _unpaired(tasks)]))
+    paired = _sweep_tasks(cfg)
+    # one task per run finishes a pool sooner when a few heavy graphs
+    # would leave workers idle
+    candidates = (paired, _unpaired(paired))
+    costs = [[_task_cost(t) for t in tasks] for tasks in candidates]
+    choice, workers = _plan(costs)
+    tasks = candidates[choice]
     per_graph = len(tasks) // graphs
     rows: list[AggregateRow] = []
     records: list[RunRecord] = []
-    with _dispatch(_run_rep, tasks, [_task_cost(t) for t in tasks]) as results:
+    # numpy imports numpy.random on first use; imported before a pool
+    # forks, it is inherited by the workers instead of imported by each
+    import numpy.random   # noqa: F401
+    with _dispatch(_run_rep, tasks, costs[choice], workers) as results:
         theories = {key: theory_mu_over_n(*key) for key in dict.fromkeys(
             (c, kappa, algo) for c, kappa, _, algo in cells)}
         for g in range(graphs):
@@ -605,9 +625,8 @@ def reproduce_reference_table(step: float | None = None) -> TableComparison:
     """
     tasks = [(c, ref_g, ref_m, step)
              for c, (ref_g, ref_m) in sorted(REFERENCE_TABLE.items())]
-    with _dispatch(_table_row, tasks,
-                   [_ode_cost(c, 0.5, step, greedy=False)
-                    for c, *_ in tasks]) as results:
+    costs = [_ode_cost(c, 0.5, step, greedy=False) for c, *_ in tasks]
+    with _dispatch(_table_row, tasks, costs, _plan([costs])[1]) as results:
         rows = list(results)
     outliers = [(r["c"], r["delta_modified"]) for r in rows
                 if abs(r["delta_modified"]) > 0.01]
@@ -713,9 +732,8 @@ def theory_report(c_values, kappa_values,
     and from direct integration, matching densities, and the modified
     ceiling. Entries are None where a prediction does not apply."""
     tasks = [(c, kappa, step) for c in c_values for kappa in kappa_values]
-    with _dispatch(_theory_cell, tasks,
-                   [_ode_cost(c, kappa, step, greedy=True)
-                    for c, kappa, _ in tasks]) as results:
+    costs = [_ode_cost(c, kappa, step, greedy=True) for c, kappa, _ in tasks]
+    with _dispatch(_theory_cell, tasks, costs, _plan([costs])[1]) as results:
         return list(results)
 
 

@@ -237,9 +237,7 @@ class TestMonteCarlo:
         monkeypatch.setattr(greedy_engines.MatchingResult, "matching",
                             property(never))
         cfg = small_cfg(c_values=(0.5, 3.0), kappa_values=(0.1, 2.0), reps=2)
-        assert experiment_harness._pool_size(
-            [experiment_harness._task_cost(t)
-             for t in experiment_harness._sweep_tasks(cfg)]) == 1
+        assert planned(lambda: run_monte_carlo(cfg)) == (8, 1)
         rows, records = run_monte_carlo(cfg)
         assert len(records) == 16
         assert all(r.steps_total == r.mu + r.isolated_deletions for r in records)
@@ -259,9 +257,32 @@ class TestMonteCarlo:
 
 
 def force_pool(monkeypatch):
-    """Run every call of two or more tasks on a pool of two workers."""
-    monkeypatch.setattr(experiment_harness, "_POOL_MIN_WORK_S", 0.0)
+    """Run every call of two or more tasks on a pool of two workers: with no
+    start-up cost, two workers finish any two tasks sooner than one."""
+    monkeypatch.setattr(experiment_harness, "_POOL_START_S", 0.0)
     monkeypatch.setattr(experiment_harness, "_cpus", lambda: 2)
+
+
+class Planned(Exception):
+    pass
+
+
+def planned(call):
+    """(tasks, workers) that call would dispatch, on a machine of 2 CPUs and
+    8 GB available; no task runs."""
+    seen = []
+
+    def spy(fn, tasks, costs, workers):
+        seen.append((len(tasks), workers))
+        raise Planned
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiment_harness, "_dispatch", spy)
+        patch.setattr(experiment_harness, "_cpus", lambda: 2)
+        patch.setattr(experiment_harness, "_available_memory", lambda: 8 * 10**9)
+        with pytest.raises(Planned):
+            call()
+    return seen[0]
 
 
 def without_runtimes(items):
@@ -276,13 +297,13 @@ class TestPool:
     def test_paired_and_split_tasks_give_the_same_results(self, monkeypatch,
                                                           pool):
         cfg = small_cfg(c_values=(0.5, 3.0), kappa_values=(0.1, 2.0), reps=3)
-        if pool:
-            force_pool(monkeypatch)
-        monkeypatch.setattr(experiment_harness, "_grouping",
-                            lambda tasks, workers: tasks)
+        size = 2 if pool else 1
+        # _plan's candidates are the paired tasks, then the split ones
+        monkeypatch.setattr(experiment_harness, "_plan",
+                            lambda candidates: (0, size))
         rows, records = run_monte_carlo(cfg)
-        monkeypatch.setattr(experiment_harness, "_grouping",
-                            lambda tasks, workers: experiment_harness._unpaired(tasks))
+        monkeypatch.setattr(experiment_harness, "_plan",
+                            lambda candidates: (1, size))
         split_rows, split_records = run_monte_carlo(cfg)
         assert multiprocessing.active_children() == []
         assert without_runtimes(split_rows) == without_runtimes(rows)
@@ -305,32 +326,98 @@ class TestPool:
         # the acceptance sweep
         (dict(c_values=tuple(REFERENCE_TABLE), reps=20), 200),
     ], ids=["mc_dense_half", "mc_small_grid", "acceptance"])
-    def test_grouping_rule(self, shape, count):
-        tasks = experiment_harness._sweep_tasks(ExperimentConfig(**shape))
-        assert len(experiment_harness._grouping(tasks, 2)) == count
-        assert experiment_harness._grouping(tasks, 1) == tasks
+    def test_grouping_rule(self, monkeypatch, shape, count):
+        # a pool runs whichever grouping has the shorter makespan, here
+        # with no start-up cost; on one CPU the paired tasks run in-process
+        cfg = ExperimentConfig(**shape)
+        force_pool(monkeypatch)
+        assert planned(lambda: run_monte_carlo(cfg)) == (count, 2)
+        monkeypatch.setattr(experiment_harness, "_workers",
+                            lambda cpus, tasks, available, peak: 1)
+        assert planned(lambda: run_monte_carlo(cfg)) == (
+            cfg.reps * len(cfg.c_values) * len(cfg.kappa_values), 1)
+
+    @pytest.mark.parametrize("call, plan", [
+        # in-process beats a pool, whose cold workers cost more than it saves
+        (lambda: run_monte_carlo(ExperimentConfig(c_values=(1.0, 5.0), reps=1)),
+         (2, 1)),
+        (lambda: run_monte_carlo(ExperimentConfig(
+            c_values=(0.5, 3.0), kappa_values=(0.1, 2.0), n_values=(10_000,),
+            reps=10)), (40, 2)),
+        (lambda: run_monte_carlo(ExperimentConfig(c_values=(3.0,), reps=4)),
+         (4, 2)),
+        (lambda: run_monte_carlo(ExperimentConfig(reps=20)), (20, 2)),
+        (lambda: run_monte_carlo(ExperimentConfig(c_values=(1.0, 5.0),
+                                                  n_values=(10**6,), reps=1)),
+         (4, 2)),
+        # one pair: two workers measured no faster than in-process
+        (lambda: run_monte_carlo(ExperimentConfig(c_values=(5.0,),
+                                                  n_values=(200_000,), reps=1)),
+         (1, 1)),
+        (lambda: run_monte_carlo(ExperimentConfig(c_values=tuple(REFERENCE_TABLE),
+                                                  reps=20)), (200, 2)),
+        (lambda: theory_report((0.5, 1.0, 2.0, 3.0, 5.0, 8.0),
+                               (0.1, 0.25, 0.52, 0.75, 1.0, 2.0, 5.0, 10.0),
+                               step=1e-5), (48, 2)),
+        (lambda: reproduce_reference_table(step=1e-5), (10, 2)),
+    ], ids=["mc_dense_half", "mc_small_grid", "one_cell_4_reps",
+            "one_cell_20_reps", "mc_dense_half_n1e6", "one_pair_n2e5",
+            "acceptance", "theory_grid", "table"])
+    def test_plan_per_shape(self, call, plan):
+        # (tasks, workers) with the measured start-up cost: in-process is
+        # 1 worker; 2 workers run paired tasks, or one task per run where
+        # there are twice as many tasks as graphs
+        assert planned(call) == plan
 
     def test_one_pair_splits_across_two_workers(self, monkeypatch):
-        # one graph cell, one rep, estimated above _POOL_MIN_WORK_S: its two
-        # runs go to two workers, with the records of the paired run
-        cfg = ExperimentConfig(c_values=(5.0,), kappa_values=(0.5,),
-                               n_values=(200_000,), reps=1, master_seed=11)
-        monkeypatch.setattr(experiment_harness, "_cpus", lambda: 1)
+        # one graph cell, one rep: its two runs go to two workers, with the
+        # records of the paired run
+        cfg = small_cfg(reps=1)
         rows, records = run_monte_carlo(cfg)
         dispatched = []
         dispatch = experiment_harness._dispatch
 
-        def spy(fn, tasks, costs):
-            dispatched.append((len(tasks), experiment_harness._pool_size(costs)))
-            return dispatch(fn, tasks, costs)
+        def spy(fn, tasks, costs, workers):
+            dispatched.append((len(tasks), workers))
+            return dispatch(fn, tasks, costs, workers)
 
         monkeypatch.setattr(experiment_harness, "_dispatch", spy)
-        monkeypatch.setattr(experiment_harness, "_cpus", lambda: 2)
+        force_pool(monkeypatch)
         pooled_rows, pooled_records = run_monte_carlo(cfg)
         assert dispatched == [(2, 2)]   # tasks, workers
         assert multiprocessing.active_children() == []
         assert without_runtimes(pooled_rows) == without_runtimes(rows)
         assert without_runtimes(pooled_records) == without_runtimes(records)
+
+    def test_workers_import_nothing_during_their_tasks(self):
+        # in a fresh interpreter, where numpy.random is not loaded until a
+        # sweep asks for it: the workers inherit it from the caller
+        script = """if True:
+            import os, sys
+            from rainbow_greedy import experiment_harness as h
+            h._POOL_START_S, h._cpus = 0.0, lambda: 2
+            run_rep, caller = h._run_rep, os.getpid()
+
+            def checked(task):
+                before = set(sys.modules)
+                outcome = run_rep(task)
+                loaded = sorted(set(sys.modules) - before)
+                if os.getpid() == caller or loaded:
+                    raise RuntimeError(f"process {os.getpid()} (caller "
+                                       f"{caller}) imported {loaded}")
+                return outcome
+
+            h._run_rep = checked
+            h.run_monte_carlo(h.ExperimentConfig(
+                c_values=(0.5, 3.0), kappa_values=(0.1, 2.0),
+                n_values=(10_000,), reps=10))
+            """
+        src = os.path.dirname(os.path.dirname(rainbow_greedy.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-2000:]
 
     def test_paired_task_cost(self):
         # one generate and both engines; the larger of the two reps' peaks
@@ -463,15 +550,24 @@ class TestPool:
 
     def test_in_process_when_small_or_threaded(self, monkeypatch):
         monkeypatch.setattr(experiment_harness, "_cpus", lambda: 2)
+        plan = experiment_harness._plan
         heavy = [(1.0, 10**6)] * 4
-        assert experiment_harness._pool_size(heavy) == 2
-        assert experiment_harness._pool_size([(0.01, 10**6)] * 4) == 1
-        assert experiment_harness._pool_size(heavy[:1]) == 1
+        assert plan([heavy]) == (0, 2)
+        # two tasks: a second worker saves one task's time, against the
+        # pool's start-up cost
+        start = experiment_harness._POOL_START_S
+        assert plan([[(start, 10**6)] * 2]) == (0, 1)
+        assert plan([[(1.01 * start, 10**6)] * 2]) == (0, 2)
+        assert plan([heavy[:1]]) == (0, 1)
+        assert plan([[]]) == (0, 1)
+        # a pool may run the second list; in-process always runs the first
+        assert plan([[(4.0, 10**6)], heavy]) == (1, 2)
+        assert plan([heavy, [(4.0, 10**6)]]) == (0, 2)
         stop = threading.Event()
         other = threading.Thread(target=stop.wait)
         other.start()
         try:
-            assert experiment_harness._pool_size(heavy) == 1
+            assert plan([heavy]) == (0, 1)
         finally:
             stop.set()
             other.join()
