@@ -123,7 +123,7 @@ def large_kappa_threshold(kappa: float) -> float:
     (e - 1) (2 kappa / (2 kappa - 1))^2."""
     if kappa <= 0.5:
         raise ValueError(f"kappa must exceed 1/2, got {kappa}")
-    r = 2.0 * kappa / (2.0 * kappa - 1.0)
+    r = kappa / (kappa - 0.5)   # 2 kappa / (2 kappa - 1), with no 2 kappa to overflow
     return (math.e - 1.0) * r * r
 
 
@@ -143,15 +143,20 @@ def tau0_large_kappa(params: TheoryParams) -> Bracket:
     gate = LARGE_KAPPA_GATE_SLACK * large_kappa_threshold(kap)
     if c < gate:
         raise RegimeError(f"c={c} below the large-kappa degree gate {gate:.4f}")
-    eps = 2.0 * kap - 1.0
-    beta = c * (eps / (2.0 * kap)) ** 2 + 1.0
+    # (2 kappa - 1)/(2 kappa) and log(beta)/(2 kappa) without forming
+    # 2 kappa, which overflows for kappa above about 9e307
+    beta = c * ((kap - 0.5) / kap) ** 2 + 1.0
     logb = math.log(beta)
     d_lo = 1.0 / (2.0 * kap * beta)
     d_hi = 1.0 / (2.0 * kap * beta - 1.0)
 
     def tau_of_delta(d: float) -> float:
-        z = beta + (1.0 + d) * logb / (2.0 * kap)
-        return kap * (z - 1.0) / (2.0 * kap * z - 1.0)
+        z = beta + (1.0 + d) * logb / 2.0 / kap
+        den = 2.0 * kap * z - 1.0
+        if den < math.inf:
+            return kap * (z - 1.0) / den
+        # 2 kappa z is past the float range: divided through by kappa z
+        return (1.0 - 1.0 / z) / (2.0 - 1.0 / kap / z)
 
     return Bracket(lower=tau_of_delta(d_lo), upper=tau_of_delta(d_hi),
                    estimate=tau_of_delta(0.5 * (d_lo + d_hi)),

@@ -13,8 +13,8 @@ This module writes no file. Every function returns its rows; to_csv and
 to_json format them, and the command line writes them (run_monte_carlo
 hands each cell's row to an optional callback as the cell finishes).
 
-run_monte_carlo (one task per graph, or per run where that finishes a
-pool sooner), theory_report (one per (c, kappa) cell) and
+run_monte_carlo (one task per graph and rep: the graph and each of its
+runs), theory_report (one per (c, kappa) cell) and
 reproduce_reference_table (one per row) run their tasks
 through _dispatch, which hands back their values in task order: on a
 fork pool when _plan estimates that it finishes sooner than in-process,
@@ -362,42 +362,35 @@ def _makespan(seconds: list[float], workers: int) -> float:
     return max(loads)
 
 
-def _plan(candidates: list[list[tuple[float, int]]]) -> tuple[int, int]:
-    """(index, workers): which of the candidate task lists to run, given
-    each task's estimated (seconds, peak bytes), and on how many workers;
-    1 worker means in-process.
+def _plan(costs: list[tuple[float, int]]) -> int:
+    """Workers to run tasks of these estimated (seconds, peak bytes) on;
+    1 means in-process.
 
-    In-process runs the first list, costed as the sum of its seconds. A
-    fork pool runs whichever list it is estimated to finish soonest:
-    its _makespan on the workers _workers allows, plus _POOL_START_S. The
-    pool is planned only when that beats in-process, when no other thread
-    is running and when fork is available.
+    In-process is costed as the sum of the seconds, a fork pool as their
+    _makespan on the workers _workers allows, plus _POOL_START_S. The pool
+    is planned only when that beats in-process, when no other thread is
+    running and when fork is available.
     """
-    best, plan = sum(s for s, _ in candidates[0]), (0, 1)
-    cpus, available = _cpus(), _available_memory()
-    for index, costs in enumerate(candidates):
-        workers = _workers(cpus, len(costs), available,
-                           max((b for _, b in costs), default=0))
-        if workers > 1:
-            pooled = _makespan([s for s, _ in costs], workers) + _POOL_START_S
-            if pooled < best:
-                best, plan = pooled, (index, workers)
-    if plan[1] == 1 or threading.active_count() > 1:
-        return 0, 1
+    workers = _workers(_cpus(), len(costs), _available_memory(),
+                       max((b for _, b in costs), default=0))
+    seconds = [s for s, _ in costs]
+    if (workers < 2 or threading.active_count() > 1
+            or _makespan(seconds, workers) + _POOL_START_S >= sum(seconds)):
+        return 1
     import multiprocessing   # here, so that in-process calls never pay for the import
     if "fork" not in multiprocessing.get_all_start_methods():
-        return 0, 1
-    return plan
+        return 1
+    return workers
 
 
 @contextlib.contextmanager
-def _dispatch(fn, tasks: list, costs: list[tuple[float, int]], size: int):
+def _dispatch(fn, tasks: list, costs: list[tuple[float, int]]):
     """Start fn, a module-level function, over the tasks and yield an
     iterator of fn(task) for each task in task order; costs holds each
-    task's estimated (seconds, peak bytes), and size is _plan's worker
-    count.
+    task's estimated (seconds, peak bytes), from which _plan picks the
+    worker count.
 
-    In-process (size < 2), the tasks run lazily as the iterator is read.
+    In-process (1 worker), the tasks run lazily as the iterator is read.
     On a fork pool they start at once, heaviest first, and _pool_results
     puts them back in task order, raising a failed task's exception in its
     turn.
@@ -405,6 +398,7 @@ def _dispatch(fn, tasks: list, costs: list[tuple[float, int]], size: int):
     a shared counter and sends its result back on a pipe of its own. No
     worker outlives the block, however it exits.
     """
+    size = _plan(costs)
     if size < 2:
         yield map(fn, tasks)
         return
@@ -446,13 +440,6 @@ def _sweep_tasks(cfg: ExperimentConfig) -> list[tuple]:
             tasks.append((n, round(c * n / 2), round(kappa * n),
                           mix(cfg.master_seed, index, rep, 0), runs))
     return tasks
-
-
-def _unpaired(tasks: list) -> list:
-    """The same runs with one task each. A run's task draws its own copy of
-    the graph from the shared seed, so its outcome does not change."""
-    return [(n, m, q, graph_seed, (run,))
-            for n, m, q, graph_seed, runs in tasks for run in runs]
 
 
 def _run_rep(task) -> tuple[tuple[int, int, int, float, float], ...]:
@@ -515,25 +502,18 @@ def run_monte_carlo(cfg: ExperimentConfig, on_row=None
     cells = cfg.cells()
     algos = len(cfg.algorithms)
     graphs = len(cells) // algos
-    paired = _sweep_tasks(cfg)
-    # one task per run finishes a pool sooner when a few heavy graphs
-    # would leave workers idle
-    candidates = (paired, _unpaired(paired))
-    costs = [[_task_cost(t) for t in tasks] for tasks in candidates]
-    choice, workers = _plan(costs)
-    tasks = candidates[choice]
-    per_graph = len(tasks) // graphs
+    tasks = _sweep_tasks(cfg)
     rows: list[AggregateRow] = []
     records: list[RunRecord] = []
     # numpy imports numpy.random on first use; imported before a pool
     # forks, it is inherited by the workers instead of imported by each
     import numpy.random   # noqa: F401
-    with _dispatch(_run_rep, tasks, costs[choice], workers) as results:
+    with _dispatch(_run_rep, tasks, [_task_cost(t) for t in tasks]) as results:
         theories = {key: theory_mu_over_n(*key) for key in dict.fromkeys(
             (c, kappa, algo) for c, kappa, _, algo in cells)}
         for g in range(graphs):
             runs = {}   # algorithm -> its reps' (graph_seed, run_seed, outcome)
-            for *_, graph_seed, task_runs in tasks[g * per_graph:(g + 1) * per_graph]:
+            for *_, graph_seed, task_runs in tasks[g * cfg.reps:(g + 1) * cfg.reps]:
                 for (algo, run_seed), outcome in zip(task_runs, next(results)):
                     runs.setdefault(algo, []).append((graph_seed, run_seed, outcome))
             for k in range(g * algos, (g + 1) * algos):
@@ -626,7 +606,7 @@ def reproduce_reference_table(step: float | None = None) -> TableComparison:
     tasks = [(c, ref_g, ref_m, step)
              for c, (ref_g, ref_m) in sorted(REFERENCE_TABLE.items())]
     costs = [_ode_cost(c, 0.5, step, greedy=False) for c, *_ in tasks]
-    with _dispatch(_table_row, tasks, costs, _plan([costs])[1]) as results:
+    with _dispatch(_table_row, tasks, costs) as results:
         rows = list(results)
     outliers = [(r["c"], r["delta_modified"]) for r in rows
                 if abs(r["delta_modified"]) > 0.01]
@@ -733,7 +713,7 @@ def theory_report(c_values, kappa_values,
     ceiling. Entries are None where a prediction does not apply."""
     tasks = [(c, kappa, step) for c in c_values for kappa in kappa_values]
     costs = [_ode_cost(c, kappa, step, greedy=True) for c, kappa, _ in tasks]
-    with _dispatch(_theory_cell, tasks, costs, _plan([costs])[1]) as results:
+    with _dispatch(_theory_cell, tasks, costs) as results:
         return list(results)
 
 

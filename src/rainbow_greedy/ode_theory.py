@@ -610,6 +610,15 @@ def modified_upper_bound(c: float) -> float:
     a tiny nor a huge c overflows or divides by zero."""
     if not c > 0:
         raise ValueError(f"c must be positive, got {c}")
-    r = math.expm1(-c) / c
-    return (1.0 + r) / (2.0 + r)
+    if c >= 1.0:
+        r = math.expm1(-c) / c
+        return (1.0 + r) / (2.0 + r)
+    # 1 + expm1(-c)/c cancels as c falls (643 ulps off at c = 1e-3);
+    # its series c/2 (1 - c/3 (1 - c/4 (1 - ...))) does not, and 20 terms
+    # reach the float's precision below c = 1
+    s = 1.0
+    for k in range(21, 2, -1):
+        s = 1.0 - c / k * s
+    r = 0.5 * c * s   # (c - 1 + e^-c) / c
+    return r / (1.0 + r)
 

@@ -142,9 +142,23 @@ class TestLargeKappa:
         b = tau0_large_kappa(TheoryParams(3.0, 1e6))
         assert b.estimate == pytest.approx(0.375, abs=1e-5)
 
+    @pytest.mark.parametrize("c, kappa", [
+        (1e307, 10.0), (1e154, 1e154),     # read [0, 0]
+        (2e307, 10.0), (1e308, 10.0), (1e300, 1e300),   # read nan
+        (1.7e308, 1.7e308),                # 2 kappa overflows as well
+    ])
+    def test_huge_degree(self, c, kappa):
+        # 2 kappa z passes the float range; the root is 1/2 to the float
+        p = TheoryParams(c, kappa)
+        b = tau0_large_kappa(p)
+        assert all(math.isfinite(x) for x in (b.lower, b.estimate, b.upper))
+        assert b.contains(tau0_general(p))
+
     def test_rejects_low_degree(self):
         with pytest.raises(RegimeError):
             tau0_large_kappa(TheoryParams(1.0, 2.0))
+        with pytest.raises(RegimeError):   # 2 kappa past the float range
+            tau0_large_kappa(TheoryParams(1.0, 1.7e308))
 
     def test_rejects_kappa_below_one(self):
         with pytest.raises(RegimeError):

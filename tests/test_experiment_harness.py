@@ -272,8 +272,8 @@ def planned(call):
     8 GB available; no task runs."""
     seen = []
 
-    def spy(fn, tasks, costs, workers):
-        seen.append((len(tasks), workers))
+    def spy(fn, tasks, costs):
+        seen.append((len(tasks), experiment_harness._plan(costs)))
         raise Planned
 
     with pytest.MonkeyPatch.context() as patch:
@@ -293,49 +293,21 @@ def without_runtimes(items):
 
 
 class TestPool:
-    @pytest.mark.parametrize("pool", [False, True], ids=["in_process", "pool"])
-    def test_paired_and_split_tasks_give_the_same_results(self, monkeypatch,
-                                                          pool):
-        cfg = small_cfg(c_values=(0.5, 3.0), kappa_values=(0.1, 2.0), reps=3)
-        size = 2 if pool else 1
-        # _plan's candidates are the paired tasks, then the split ones
-        monkeypatch.setattr(experiment_harness, "_plan",
-                            lambda candidates: (0, size))
-        rows, records = run_monte_carlo(cfg)
-        monkeypatch.setattr(experiment_harness, "_plan",
-                            lambda candidates: (1, size))
-        split_rows, split_records = run_monte_carlo(cfg)
-        assert multiprocessing.active_children() == []
-        assert without_runtimes(split_rows) == without_runtimes(rows)
-        assert without_runtimes(split_records) == without_runtimes(records)
-        # a pair's runs read one graph, generated once
-        pairs = {}
-        for r in records:
-            pairs.setdefault((r.c, r.kappa, r.rep), []).append(r)
-        for greedy, modified in pairs.values():
-            assert greedy.graph_seed == modified.graph_seed
-            assert greedy.generate_seconds == modified.generate_seconds
-
     @pytest.mark.parametrize("shape, count", [
-        # mc_dense_half: two paired graphs would leave a worker idle
-        # while the heavier runs on the other
-        (dict(c_values=(1.0, 5.0), reps=1), 4),
-        # mc_small_grid
+        (dict(c_values=(1.0, 5.0), reps=1), 2),            # mc_dense_half
         (dict(c_values=(0.5, 3.0), kappa_values=(0.1, 2.0), n_values=(10_000,),
-              reps=10), 40),
-        # the acceptance sweep
-        (dict(c_values=tuple(REFERENCE_TABLE), reps=20), 200),
+              reps=10), 40),                                # mc_small_grid
+        (dict(c_values=tuple(REFERENCE_TABLE), reps=20), 200),   # acceptance
     ], ids=["mc_dense_half", "mc_small_grid", "acceptance"])
     def test_grouping_rule(self, monkeypatch, shape, count):
-        # a pool runs whichever grouping has the shorter makespan, here
-        # with no start-up cost; on one CPU the paired tasks run in-process
+        # one task per graph and rep, whether a pool runs them (here with
+        # no start-up cost) or one worker does
         cfg = ExperimentConfig(**shape)
         force_pool(monkeypatch)
         assert planned(lambda: run_monte_carlo(cfg)) == (count, 2)
         monkeypatch.setattr(experiment_harness, "_workers",
                             lambda cpus, tasks, available, peak: 1)
-        assert planned(lambda: run_monte_carlo(cfg)) == (
-            cfg.reps * len(cfg.c_values) * len(cfg.kappa_values), 1)
+        assert planned(lambda: run_monte_carlo(cfg)) == (count, 1)
 
     @pytest.mark.parametrize("call, plan", [
         # in-process beats a pool, whose cold workers cost more than it saves
@@ -349,8 +321,11 @@ class TestPool:
         (lambda: run_monte_carlo(ExperimentConfig(reps=20)), (20, 2)),
         (lambda: run_monte_carlo(ExperimentConfig(c_values=(1.0, 5.0),
                                                   n_values=(10**6,), reps=1)),
-         (4, 2)),
-        # one pair: two workers measured no faster than in-process
+         (2, 2)),
+        # one pair: one task, which runs in-process
+        (lambda: run_monte_carlo(ExperimentConfig(c_values=(5.0,),
+                                                  n_values=(10**6,), reps=1)),
+         (1, 1)),
         (lambda: run_monte_carlo(ExperimentConfig(c_values=(5.0,),
                                                   n_values=(200_000,), reps=1)),
          (1, 1)),
@@ -361,33 +336,13 @@ class TestPool:
                                step=1e-5), (48, 2)),
         (lambda: reproduce_reference_table(step=1e-5), (10, 2)),
     ], ids=["mc_dense_half", "mc_small_grid", "one_cell_4_reps",
-            "one_cell_20_reps", "mc_dense_half_n1e6", "one_pair_n2e5",
+            "one_cell_20_reps", "mc_dense_half_n1e6", "one_pair_n1e6",
+            "one_pair_n2e5",
             "acceptance", "theory_grid", "table"])
     def test_plan_per_shape(self, call, plan):
-        # (tasks, workers) with the measured start-up cost: in-process is
-        # 1 worker; 2 workers run paired tasks, or one task per run where
-        # there are twice as many tasks as graphs
+        # (tasks, workers) with the measured start-up cost; in-process is
+        # 1 worker
         assert planned(call) == plan
-
-    def test_one_pair_splits_across_two_workers(self, monkeypatch):
-        # one graph cell, one rep: its two runs go to two workers, with the
-        # records of the paired run
-        cfg = small_cfg(reps=1)
-        rows, records = run_monte_carlo(cfg)
-        dispatched = []
-        dispatch = experiment_harness._dispatch
-
-        def spy(fn, tasks, costs, workers):
-            dispatched.append((len(tasks), workers))
-            return dispatch(fn, tasks, costs, workers)
-
-        monkeypatch.setattr(experiment_harness, "_dispatch", spy)
-        force_pool(monkeypatch)
-        pooled_rows, pooled_records = run_monte_carlo(cfg)
-        assert dispatched == [(2, 2)]   # tasks, workers
-        assert multiprocessing.active_children() == []
-        assert without_runtimes(pooled_rows) == without_runtimes(rows)
-        assert without_runtimes(pooled_records) == without_runtimes(records)
 
     def test_workers_import_nothing_during_their_tasks(self):
         # in a fresh interpreter, where numpy.random is not loaded until a
@@ -422,7 +377,7 @@ class TestPool:
     def test_paired_task_cost(self):
         # one generate and both engines; the larger of the two reps' peaks
         pair = (10_000, 15_000, 20_000, 1, (("greedy", 2), ("modified", 3)))
-        greedy, modified = experiment_harness._unpaired([pair])
+        greedy, modified = ((*pair[:4], (run,)) for run in pair[4])
         cost = experiment_harness._task_cost
         generate = experiment_harness._TASK_S + 1e-9 * experiment_harness._per_size(
             experiment_harness._REP_NS["generate"], 10_000, 15_000, 20_000)
@@ -432,14 +387,24 @@ class TestPool:
 
     def test_sweep_matches_in_process(self, monkeypatch):
         cfg = small_cfg(c_values=(0.5, 3.0), kappa_values=(0.1, 2.0), reps=3)
+        assert planned(lambda: run_monte_carlo(cfg)) == (12, 1)
         rows, records = run_monte_carlo(cfg)
         force_pool(monkeypatch)
+        assert planned(lambda: run_monte_carlo(cfg)) == (12, 2)
         streamed = []
         pooled_rows, pooled_records = run_monte_carlo(cfg, on_row=streamed.append)
         assert multiprocessing.active_children() == []
         assert streamed == pooled_rows
         assert without_runtimes(pooled_rows) == without_runtimes(rows)
         assert without_runtimes(pooled_records) == without_runtimes(records)
+        # either way, a pair's runs read one graph, generated once
+        for run in (records, pooled_records):
+            pairs = {}
+            for r in run:
+                pairs.setdefault((r.c, r.kappa, r.rep), []).append(r)
+            for greedy, modified in pairs.values():
+                assert greedy.graph_seed == modified.graph_seed
+                assert greedy.generate_seconds == modified.generate_seconds
 
     def test_theory_and_table_match_in_process(self, monkeypatch):
         # (100, 0.01) at step 1e-2: the modified integration runs away
@@ -552,22 +517,23 @@ class TestPool:
         monkeypatch.setattr(experiment_harness, "_cpus", lambda: 2)
         plan = experiment_harness._plan
         heavy = [(1.0, 10**6)] * 4
-        assert plan([heavy]) == (0, 2)
+        assert plan(heavy) == 2
         # two tasks: a second worker saves one task's time, against the
         # pool's start-up cost
         start = experiment_harness._POOL_START_S
-        assert plan([[(start, 10**6)] * 2]) == (0, 1)
-        assert plan([[(1.01 * start, 10**6)] * 2]) == (0, 2)
-        assert plan([heavy[:1]]) == (0, 1)
-        assert plan([[]]) == (0, 1)
-        # a pool may run the second list; in-process always runs the first
-        assert plan([[(4.0, 10**6)], heavy]) == (1, 2)
-        assert plan([heavy, [(4.0, 10**6)]]) == (0, 2)
+        assert plan([(start, 10**6)] * 2) == 1
+        assert plan([(1.01 * start, 10**6)] * 2) == 2
+        assert plan(heavy[:1]) == 1
+        assert plan([]) == 1
+        # one CPU runs the paired tasks in-process
+        monkeypatch.setattr(experiment_harness, "_cpus", lambda: 1)
+        assert plan(heavy) == 1
+        monkeypatch.setattr(experiment_harness, "_cpus", lambda: 2)
         stop = threading.Event()
         other = threading.Thread(target=stop.wait)
         other.start()
         try:
-            assert plan([heavy]) == (0, 1)
+            assert plan(heavy) == 1
         finally:
             stop.set()
             other.join()

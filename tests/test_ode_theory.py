@@ -502,7 +502,100 @@ class TestDefaultStep:
         assert integrate_modified(TheoryParams(1000.0, 0.0005)).taus[1] == 1e-6
 
 
+# modified_upper_bound over c in [1e-300, 1.7e308], each the nearest float
+# to the value of tests/freeze_upper_bound.py at 60 digits, the same float at
+# 80; dense where 1 + expm1(-c)/c cancels (c below 1).
+UPPER_BOUND_MPMATH = {
+    1e-300: 5e-301,
+    1e-280: 5e-281,
+    1e-260: 5e-261,
+    1e-240: 5e-241,
+    1e-220: 5e-221,
+    1e-200: 5e-201,
+    1e-180: 5e-181,
+    1e-160: 5e-161,
+    1e-140: 5e-141,
+    1e-120: 5e-121,
+    1e-100: 5e-101,
+    1e-80: 5e-81,
+    1e-60: 5e-61,
+    1e-40: 5e-41,
+    1e-20: 5e-21,
+    1e-18: 5e-19,
+    3e-18: 1.5e-18,
+    1e-17: 5e-18,
+    3e-17: 1.5e-17,
+    1e-16: 4.999999999999999e-17,
+    3e-16: 1.4999999999999995e-16,
+    1e-15: 4.999999999999996e-16,
+    3e-15: 1.4999999999999962e-15,
+    1e-14: 4.999999999999958e-15,
+    3e-14: 1.4999999999999624e-14,
+    1e-13: 4.9999999999995836e-14,
+    3e-13: 1.4999999999996248e-13,
+    1e-12: 4.999999999995834e-13,
+    3e-12: 1.49999999999625e-12,
+    1e-11: 4.999999999958333e-12,
+    3e-11: 1.4999999999625e-11,
+    1e-10: 4.999999999583334e-11,
+    3e-10: 1.499999999625e-10,
+    1e-09: 4.999999995833333e-10,
+    3e-09: 1.49999999625e-09,
+    1e-08: 4.9999999583333336e-09,
+    3e-08: 1.4999999625000007e-08,
+    1e-07: 4.9999995833333664e-08,
+    3e-07: 1.49999962500009e-07,
+    1e-06: 4.999995833336667e-07,
+    3e-06: 1.499996250009e-06,
+    1e-05: 4.999958333666665e-06,
+    3e-05: 1.4999625008999786e-05,
+    0.0001: 4.999583366664014e-05,
+    0.0003: 0.00014996250899785175,
+    0.001: 0.0004995836664015999,
+    0.003: 0.0014962589785636779,
+    0.01: 0.004958664034833304,
+    0.03: 0.01463379013536808,
+    0.1: 0.04614209436463156,
+    0.3: 0.11976537111211857,
+    0.5: 0.17563936464993593,
+    0.9: 0.2540836803459061,
+    0.99: 0.2675221416763453,
+    1.0: 0.2689414213699951,
+    1.01: 0.27034666125395895,
+    1.5: 0.32527567351258874,
+    3.0: 0.40591554467867363,
+    10.0: 0.4736854681390937,
+    30.0: 0.49152542372881436,
+    100.0: 0.49748743718592964,
+    300.0: 0.4991652754590985,
+    1e+20: 0.5,
+    1e+40: 0.5,
+    1e+60: 0.5,
+    1e+80: 0.5,
+    1e+100: 0.5,
+    1e+120: 0.5,
+    1e+140: 0.5,
+    1e+160: 0.5,
+    1e+180: 0.5,
+    1e+200: 0.5,
+    1e+220: 0.5,
+    1e+240: 0.5,
+    1e+260: 0.5,
+    1e+280: 0.5,
+    1e+300: 0.5,
+    1e+305: 0.5,
+    1e+308: 0.5,
+    1.7e+308: 0.5,
+}
+
+
 class TestUpperBound:
+    def test_full_float_precision(self):
+        far = {c: (modified_upper_bound(c) - want) / math.ulp(want)
+               for c, want in UPPER_BOUND_MPMATH.items()
+               if abs(modified_upper_bound(c) - want) > 4 * math.ulp(want)}
+        assert far == {}   # c: error in ulps
+
     def test_values(self):
         assert modified_upper_bound(1.0) == pytest.approx(0.2689414213699951, abs=1e-12)
         assert modified_upper_bound(5.0) == pytest.approx(0.44486005594667855, abs=1e-12)
@@ -511,11 +604,12 @@ class TestUpperBound:
         assert modified_upper_bound(1e6) == pytest.approx(0.5, abs=1e-5)
 
     @pytest.mark.parametrize("c, want", [(1e308, 0.5), (1.7e308, 0.5),
-                                         (1e-8, 5e-9), (1e-300, 0.0)])
+                                         (1e-8, 5e-9), (1e-300, 5e-301)])
     def test_extreme_c(self, c, want):
-        # 2c used to overflow to a bound of 0.0, and 2c - 1 + e^-c to
-        # cancel to a division by zero; the bound is about c/2 for small c
-        assert modified_upper_bound(c) == pytest.approx(want, abs=1e-15)
+        # 2c used to overflow to a bound of 0.0, 2c - 1 + e^-c to cancel to
+        # a division by zero, and c - 1 + e^-c to cancel to a bound of 0.0
+        # below c = 1e-16; the bound is about c/2 for small c
+        assert modified_upper_bound(c) == pytest.approx(want, rel=1e-7, abs=0)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
