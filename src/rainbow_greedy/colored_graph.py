@@ -6,7 +6,9 @@ be run any number of times.
 
 Vertices are 0-based ids, colors are 1-based, edge ids index ColoredGraph.edges.
 A graph lives in memory only: generate draws it from a seed, which is
-all it takes to draw it again.
+all it takes to draw it again. The constructor checks outside input
+fully; generate checks its own graph once, without a second sort of its
+pair keys where its redraws already found none to repeat.
 """
 
 from __future__ import annotations
@@ -31,9 +33,12 @@ class ColoredGraph:
         self._adopt(n, q, np.array(edges, dtype=np.int64).reshape(len(edges), 3),
                     seed)
 
-    def _adopt(self, n: int, q: int, arr: np.ndarray, seed: int | None):
+    def _adopt(self, n: int, q: int, arr: np.ndarray, seed: int | None,
+               distinct: bool = False):
         """Check arr, an (m, 3) int64 array that no one else holds, and
-        keep it as the edges without a copy."""
+        keep it as the edges without a copy. distinct says that the caller
+        has already found no pair to repeat; the duplicate check, a sort of
+        all m pair keys, is then skipped."""
         if len(arr) and q < 1:
             raise ValueError("q=0 with a nonempty edge set")
         u, v, color = arr.T
@@ -47,17 +52,18 @@ class ColoredGraph:
                 _reject(arr, u == v, "self loop")
             if color.min() < 1 or color.max() > q:
                 _reject(arr, (color < 1) | (color > q), f"color outside 1..{q}")
-        # the pair key min(u, v) * n + max(u, v), built in place as
-        # min(u, v) * (n - 1) + u + v (each partial sum is at most the key,
-        # below n^2) and sorted in place
-        key = np.minimum(u, v)
-        key *= n - 1
-        key += u
-        key += v
-        key.sort()
-        dup = key[1:][key[1:] == key[:-1]]
-        if dup.size:
-            raise ValueError(f"duplicate edge {divmod(int(dup[0]), n)}")
+        if not distinct:
+            # the pair key min(u, v) * n + max(u, v), built in place as
+            # min(u, v) * (n - 1) + u + v (each partial sum is at most the
+            # key, below n^2) and sorted in place
+            key = np.minimum(u, v)
+            key *= n - 1
+            key += u
+            key += v
+            key.sort()
+            dup = key[1:][key[1:] == key[:-1]]
+            if dup.size:
+                raise ValueError(f"duplicate edge {divmod(int(dup[0]), n)}")
         self.n_initial = n
         self.m_initial = len(arr)
         self.q_total = q
@@ -129,6 +135,11 @@ def generate(n: int, m: int, q: int, seed: int) -> ColoredGraph:
     Up to half of all pairs, the pairs are drawn iid and repeats redrawn
     (_distinct_pairs has the law); above that, redraws would take long,
     and generate chooses m of the listed pairs without replacement.
+
+    The graph is checked once. Its rows are checked for range, self loops
+    and colors, as the constructor checks any input. For duplicates, the
+    redraw path relies on _distinct_pairs, which returns only once no
+    pair repeats; the pairs chosen from the list are sorted and checked.
     """
     if n < 1:
         raise ValueError(f"need at least one vertex, got n={n}")
@@ -154,5 +165,7 @@ def generate(n: int, m: int, q: int, seed: int) -> ColoredGraph:
         _distinct_pairs(rng, n, edges[:, :2])
     edges[:, 2] = rng.integers(1, q + 1, size=m)
     g = ColoredGraph.__new__(ColoredGraph)
-    g._adopt(n, q, edges, seed)
+    # _distinct_pairs returns only once no pair repeats, which is the
+    # duplicate check of its pairs; rng.choice's are checked like any input
+    g._adopt(n, q, edges, seed, distinct=2 * m <= max_m)
     return g

@@ -38,6 +38,7 @@ import contextlib
 import json
 import math
 import os
+import sys
 import threading
 import time
 from dataclasses import dataclass
@@ -146,6 +147,12 @@ _ODE_BYTES_PER_STEP = 20
 # ones scaled by the estimated makespan's share of the serial seconds, it
 # was -15 ... 62 ms, with a median of 28 ms.
 _POOL_START_S = 0.028
+# A process that has not imported multiprocessing yet, such as a fresh
+# simulate, theory or table, also pays for that import and for its first
+# shared value, pipes and forks: the first such start less a second one
+# took 11.7-18.4 ms, with a median of 13.9 ms, over 15 fresh processes
+# with numpy and this package imported.
+_POOL_IMPORT_S = 0.014
 
 
 def _per_size(coef: tuple[int, int, int], n: int, m: int, q: int) -> int:
@@ -367,15 +374,19 @@ def _plan(costs: list[tuple[float, int]]) -> int:
     1 means in-process.
 
     In-process is costed as the sum of the seconds, a fork pool as their
-    _makespan on the workers _workers allows, plus _POOL_START_S. The pool
-    is planned only when that beats in-process, when no other thread is
+    _makespan on the workers _workers allows, plus _POOL_START_S, and plus
+    _POOL_IMPORT_S while multiprocessing is not imported. The pool is
+    planned only when that beats in-process, when no other thread is
     running and when fork is available.
     """
     workers = _workers(_cpus(), len(costs), _available_memory(),
                        max((b for _, b in costs), default=0))
     seconds = [s for s, _ in costs]
+    start = _POOL_START_S
+    if "multiprocessing" not in sys.modules:
+        start += _POOL_IMPORT_S
     if (workers < 2 or threading.active_count() > 1
-            or _makespan(seconds, workers) + _POOL_START_S >= sum(seconds)):
+            or _makespan(seconds, workers) + start >= sum(seconds)):
         return 1
     import multiprocessing   # here, so that in-process calls never pay for the import
     if "fork" not in multiprocessing.get_all_start_methods():

@@ -9,12 +9,12 @@ matching is rainbow by construction. The engines never change the graph.
 
 Each engine takes what a first-fit scan of a random edge order takes:
 every edge whose endpoints and color are still free. Greedy scans a
-uniform edge order. Modified greedy draws one uniform edge permutation,
-which orders every vertex's incidence list, gives the vertices uniform
-turns, and lists each edge at its endpoint with the earlier turn, in
-turn order, then permutation order: at a vertex's turn its edges to
-earlier-turn vertices are already dead, and it takes the first free
-edge of the rest. _first_fit runs a scan in rounds of
+uniform edge order. Modified greedy gives the vertices uniform turns
+and lists each edge at its endpoint with the earlier turn, in turn
+order, then in a uniform order within each vertex's list, which iid
+tie-break bits give: at a vertex's turn its edges to earlier-turn
+vertices are already dead, and it takes the first free edge of the
+rest. _first_fit runs a scan in rounds of
 numpy work over a window of the order's first live edges, at most
 max(1024, n // 16) of them, refilled as edges resolve. It takes the
 graph and the order, and gathers each window's rows from the graph
@@ -54,6 +54,9 @@ from .colored_graph import ColoredGraph
 
 # edges per chunk of _trajectory's death count, at least
 _CHUNK = 1 << 16
+# fewest tie-break bits the modified engine's sort key may hold, so that
+# ties, which it breaks by drawing again, stay rare
+_MIN_TIE_BITS = 8
 
 # eq=False: the generated == would compare the arrays elementwise
 @dataclass(eq=False)
@@ -244,31 +247,30 @@ def run_modified_greedy(g: ColoredGraph, run_seed: int) -> MatchingResult:
     Otherwise it is matched along a uniform remaining incident edge, and
     both endpoints and the color class are deleted.
     """
-    gen = np.random.default_rng(run_seed)
     n, e = g.n_initial, g.edges
     m = len(e)
-    # edges by their earlier endpoint's turn, then by their place in one
-    # edge permutation, which orders every vertex's list: the scan reads an
-    # edge only at its earlier endpoint, so the lists that are read are
-    # disjoint, each in uniform order, independent of each other and of
-    # the turns. The sort key packs (turn, place) into one int64; it is
-    # built, sorted and decoded in place.
-    perm = gen.permutation(m)
+    rb, ib = _tie_bits(n, m), (m - 1).bit_length()
+    gen = np.random.default_rng(run_seed)
     vertices = gen.permutation(n)
     turn = np.empty(n, dtype=np.int64)
     turn[vertices] = np.arange(n)
-    earlier = turn[e[:, 0]]
-    np.minimum(earlier, turn[e[:, 1]], out=earlier)
-    key = earlier.take(perm)
-    del earlier
-    key *= m
+    # edges by their earlier endpoint's turn, then by iid tie-break bits,
+    # which put each vertex's list in uniform order: the scan reads an edge
+    # only at its earlier endpoint, so the lists that are read are disjoint,
+    # each in uniform order, independent of each other and of the turns.
+    # One int64 key per edge packs (turn, tie-break, edge id); it is built,
+    # sorted and decoded in place.
+    key = turn[e[:, 0]]
+    np.minimum(key, turn[e[:, 1]], out=key)
+    key <<= rb
+    key += gen.integers(1 << rb, size=m)
+    key <<= ib
     key += np.arange(m)
     key.sort()
-    key %= m
-    order = perm.take(key)
-    del perm, key
-    taken = order[_first_fit(e, order, n, g.q_total)]
-    del order
+    _break_ties(key, rb, ib, gen)
+    key &= (1 << ib) - 1   # the edge ids, in scan order
+    taken = key[_first_fit(e, key, n, g.q_total)]
+    del key
     # Edges die only at the steps that match: a vertex deleted as isolated
     # has no live edge left. So the run ends at the step of the last match,
     # the one at the latest earlier-endpoint turn w of a matched edge. The
@@ -284,6 +286,50 @@ def run_modified_greedy(g: ColoredGraph, run_seed: int) -> MatchingResult:
         algorithm="modified", n=n, m=m, q=g.q_total, graph_seed=g.seed,
         run_seed=run_seed, edge_ids=taken, mu=mu, steps_total=steps,
         isolated_deletions=steps - mu, graph=g, vertices=vertices)
+
+
+def _tie_bits(n: int, m: int) -> int:
+    """Tie-break bits of the modified engine's sort key over n vertices
+    and m edges: what 63 bits leave beside the turn and the edge id."""
+    rb = 63 - (n - 1).bit_length() - (m - 1).bit_length()
+    if rb < _MIN_TIE_BITS:
+        raise ValueError(
+            f"n={n} and m={m} leave {rb} tie-break bits in the modified "
+            f"engine's 63-bit sort key; it needs {_MIN_TIE_BITS} "
+            f"(n * m below about 2**55)")
+    return rb
+
+
+def _break_ties(key: np.ndarray, rb: int, ib: int, gen: np.random.Generator):
+    """Order, in place and uniformly, each run of sorted keys that share
+    their (turn, tie-break) prefix, the bits above the low ib.
+
+    Each edge of a run draws one more rb-bit digit, and the run is sorted
+    by it; edges that tie again draw again. Every edge thus holds a
+    sequence of iid digits, read only as far as needed, and the order is
+    theirs lexicographically: uniform within each list, whatever its
+    length. Only the slots of tied runs are touched.
+    """
+    step = np.bitwise_xor(key[1:], key[:-1])
+    if not step.size or step.min() >> ib:   # the common case: no prefix repeats
+        return
+    slots, run = _tied_runs(step < 1 << ib)
+    del step
+    while slots.size:
+        digit = gen.integers(1 << rb, size=slots.size)
+        by = np.lexsort((digit, run))   # the runs stay in place
+        key[slots] = key[slots[by]]
+        digit = digit[by]
+        at, run = _tied_runs((run[1:] == run[:-1]) & (digit[1:] == digit[:-1]))
+        slots = slots[at]
+
+
+def _tied_runs(same: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Places of the items in runs of equal neighbours, ascending, and a
+    run label for each, from same[i]: item i equals item i + 1."""
+    pair = np.flatnonzero(same)
+    at = np.union1d(pair, pair + 1)
+    return at, np.cumsum(~np.isin(at - 1, pair))
 
 
 def verify_result(g0: ColoredGraph, result: MatchingResult) -> VerifyReport:

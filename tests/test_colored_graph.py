@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rainbow_greedy import colored_graph
 from rainbow_greedy.colored_graph import ColoredGraph, generate
 from rainbow_greedy.greedy_engines import run_greedy, run_modified_greedy, verify_result
 from test_engine_law import chi2_critical
@@ -103,6 +104,32 @@ class TestGenerate:
             u, v, _ = generate(n, m, 3, seed).edges.T
             assert (u < v).all() and (v < n).all() and (u >= 0).all()
             assert len(set(zip(u.tolist(), v.tolist()))) == m
+
+    @pytest.mark.parametrize("n, m, q, seeds, draws", [
+        (2000, 5000, 1000, range(6), "iid"),        # a few pairs redrawn
+        (40, 390, 20, range(6), "iid"),             # 2m = n(n-1)/2: ~100 redrawn
+        (30, 300, 12, range(6), "choice"),          # above half the pairs
+        (100_000, 250_000, 50_000, [7], "iid"),
+    ], ids=["redraw", "redraw_certain", "dense", "n1e5_c5"])
+    def test_output_passes_every_constructor_check(self, n, m, q, seeds, draws,
+                                                   monkeypatch):
+        # generate leaves the duplicate check of its iid pairs to
+        # _distinct_pairs, which returns only once none repeats; the
+        # constructor, given a copy, runs every check and keeps equal edges
+        rounds = []
+        pairs = colored_graph._pairs
+        monkeypatch.setattr(colored_graph, "_pairs",
+                            lambda *args: rounds.append(1) or pairs(*args))
+        for seed in seeds:
+            rounds.clear()
+            g = generate(n, m, q, seed)
+            assert bool(rounds) == (draws == "iid")   # the path that drew the pairs
+            if (n, m) == (40, 390):
+                assert len(rounds) > 1   # repeats are certain at this size
+            again = ColoredGraph(n, q, g.edges.copy(), g.seed)
+            assert np.array_equal(again.edges, g.edges)
+            assert ((again.n_initial, again.m_initial, again.q_total, again.seed)
+                    == (g.n_initial, g.m_initial, g.q_total, seed))
 
 
 class TestUniformity:

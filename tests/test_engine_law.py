@@ -12,7 +12,8 @@ over that state, straight from the process definitions:
 
 Matching an edge deletes both endpoints and its color class. Each engine
 is run over fixed seeds and its empirical law is compared with the exact
-one by a chi-square test.
+one by a chi-square test; the modified engine also with its tie-break
+bits cut to 1 and 2, so that its tie redraws order most lists.
 """
 import math
 import random
@@ -21,6 +22,7 @@ from functools import lru_cache
 
 import pytest
 
+from rainbow_greedy import greedy_engines
 from rainbow_greedy.colored_graph import ColoredGraph
 from rainbow_greedy.greedy_engines import run_greedy, run_modified_greedy
 
@@ -122,6 +124,19 @@ INSTANCES.update({f"random_{s}": random_instance(s) for s in (5, 20, 24, 33)})
 @pytest.mark.parametrize("algorithm", ["greedy", "modified"])
 @pytest.mark.parametrize("name", sorted(INSTANCES))
 def test_engine_samples_exact_law(name, algorithm):
+    assert_engine_law(name, algorithm)
+
+
+@pytest.mark.parametrize("tie_bits", [1, 2])
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_modified_law_with_tie_redraws(name, tie_bits, monkeypatch):
+    # at full width a tie is rare; with 1 or 2 tie-break bits most lists
+    # tie and are ordered by the digits drawn again
+    monkeypatch.setattr(greedy_engines, "_tie_bits", lambda n, m: tie_bits)
+    assert_engine_law(name, "modified")
+
+
+def assert_engine_law(name, algorithm):
     n, q, edges = INSTANCES[name]
     law = exact_law(n, edges, algorithm)
     assert math.isclose(sum(law.values()), 1.0)

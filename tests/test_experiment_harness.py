@@ -341,8 +341,22 @@ class TestPool:
             "acceptance", "theory_grid", "table"])
     def test_plan_per_shape(self, call, plan):
         # (tasks, workers) with the measured start-up cost; in-process is
-        # 1 worker
+        # 1 worker. This module imports multiprocessing, so the plans are
+        # those of a process that has imported it already.
+        assert "multiprocessing" in sys.modules
         assert planned(call) == plan
+
+    def test_plan_counts_the_import_in_a_fresh_process(self, monkeypatch):
+        # two tasks that a pool finishes sooner after its warm start-up, but
+        # not after a fresh process also imports multiprocessing
+        monkeypatch.setattr(experiment_harness, "_cpus", lambda: 2)
+        monkeypatch.setattr(experiment_harness, "_available_memory", lambda: 8 * 10**9)
+        seconds = experiment_harness._POOL_START_S + experiment_harness._POOL_IMPORT_S / 2
+        costs = [(seconds, 10**6)] * 2
+        assert experiment_harness._plan(costs) == 2
+        monkeypatch.delitem(sys.modules, "multiprocessing")
+        assert experiment_harness._plan(costs) == 1
+        assert "multiprocessing" not in sys.modules   # the plan imported nothing
 
     def test_workers_import_nothing_during_their_tasks(self):
         # in a fresh interpreter, where numpy.random is not loaded until a
@@ -732,8 +746,10 @@ class TestAsymptoticsReport:
 
 class TestCli:
     def test_simulate_csv(self, capsys):
+        # --check holds each mean to 0.01 of theory; one rep's sd at n = 500
+        # is 0.008-0.012, so 20 reps put the bound 4-5 standard errors out
         rc = main(["simulate", "--c", "1", "--kappa", "0.5", "--n", "500",
-                   "--reps", "2", "--seed", "7", "--check"])
+                   "--reps", "20", "--seed", "7", "--check"])
         captured = capsys.readouterr()
         assert rc == 0
         lines = captured.out.strip().split("\n")

@@ -144,6 +144,18 @@ class TestModified:
         assert r.algorithm == "modified"
         assert r.graph_seed == 8
 
+    def test_sort_key_bit_budget(self):
+        # one int64 key holds the earlier turn, the tie-break bits and the
+        # edge id: 28 tie-break bits at n = 10^5, c = 5, 14 at n = 10^7
+        assert greedy_engines._tie_bits(10**5, 250_000) == 28
+        assert greedy_engines._tie_bits(10**7, 25_000_000) == 14
+        assert greedy_engines._tie_bits(2**28, 2**27) == 8
+        with pytest.raises(ValueError, match="7 tie-break bits"):
+            greedy_engines._tie_bits(2**28, 2**28)
+        g = ColoredGraph(2**50, 1, [(0, v, 1) for v in range(1, 65)])
+        with pytest.raises(ValueError, match="tie-break bits"):
+            run_modified_greedy(g, 1)
+
 
 class TestStride:
     """The trajectory holds every step; a caller that wants a stride
@@ -348,20 +360,48 @@ def reference_greedy(g, run_seed):
     return replay.result("greedy", g, run_seed)
 
 
-def reference_modified(g, run_seed):
-    """The sequential vertex scan: one uniform edge permutation orders
-    every incidence list, then a uniform vertex permutation gives the
-    turns; a live vertex takes the first live edge of its list or is
-    deleted as isolated, while edges remain."""
+def reference_modified(g, run_seed, tie_bits=None):
+    """The sequential vertex scan: a uniform vertex permutation gives the
+    turns, and every edge draws a sequence of iid digits of tie_bits bits
+    (63 less the bits of the largest turn and edge id by default), which
+    sorts each incidence list; a live vertex takes the first live edge of
+    its list or is deleted as isolated, while edges remain.
+
+    Each edge draws one digit. While two edges share their earlier
+    endpoint and all their digits so far, every such edge draws one more,
+    in the order of (earlier turn, digits, edge id), as the engine does."""
     gen, replay = np.random.default_rng(run_seed), Replay(g)
     edges = replay.edges
-    incident = [[] for _ in range(g.n_initial)]
-    for eid in gen.permutation(len(edges)).tolist():
+    n, m = g.n_initial, len(edges)
+    if tie_bits is None:
+        tie_bits = 63 - (n - 1).bit_length() - (m - 1).bit_length()
+    vertices = gen.permutation(n).tolist()
+    turn = [0] * n
+    for t, v in enumerate(vertices):
+        turn[v] = t
+    digits = [[d] for d in gen.integers(1 << tie_bits, size=m).tolist()]
+
+    def prefix(eid):
         u, v, _ = edges[eid]
+        return min(turn[u], turn[v]), digits[eid]
+
+    while True:
+        ranked = sorted(range(m), key=lambda eid: (prefix(eid), eid))
+        tied = [eid for i, eid in enumerate(ranked)
+                if (i and prefix(ranked[i - 1]) == prefix(eid))
+                or (i + 1 < m and prefix(ranked[i + 1]) == prefix(eid))]
+        if not tied:
+            break
+        for eid, d in zip(tied, gen.integers(1 << tie_bits, size=len(tied)).tolist()):
+            digits[eid].append(d)
+    incident = [[] for _ in range(n)]
+    for eid, (u, v, _) in enumerate(edges):
         incident[u].append(eid)
         incident[v].append(eid)
+    for at in incident:
+        at.sort(key=digits.__getitem__)
     alive, color_free = replay.vertex_alive, replay.color_free
-    for v in gen.permutation(g.n_initial).tolist():
+    for v in vertices:
         if replay.mu_edges == 0:
             break
         if not alive[v]:
@@ -420,6 +460,23 @@ class TestSameAsSequentialScan:
 
     def test_large_instance(self):
         assert_same_as_reference(generate(100_000, 250_000, 50_000, seed=5), 3)
+
+    @pytest.mark.parametrize("tie_bits", [1, 2])
+    def test_tie_redraws(self, tie_bits, monkeypatch):
+        # with 1 or 2 tie-break bits, most lists tie and draw more digits,
+        # often several rounds of them
+        monkeypatch.setattr(greedy_engines, "_tie_bits", lambda n, m: tie_bits)
+        for n, m, q, seed in [(7, 12, 3, 1), (50, 200, 25, 2), (300, 900, 150, 3),
+                              (2000, 5000, 1000, 4)]:
+            g = generate(n, m, q, seed)
+            got = as_lists(run_modified_greedy(g, seed + 10))
+            assert got == reference_modified(g, seed + 10, tie_bits), (n, m, seed)
+        # a star's center lists up to all of its edges, far more than 2 bits
+        # tell apart
+        star = ColoredGraph(40, 5, [(0, v, v % 5 + 1) for v in range(1, 40)])
+        for seed in range(5):
+            got = as_lists(run_modified_greedy(star, seed))
+            assert got == reference_modified(star, seed, tie_bits)
 
     def test_path_scanned_end_to_end(self):
         # the kernel's worst order: each round takes one edge, drops the next
@@ -504,6 +561,9 @@ def digest(a: np.ndarray) -> str:
 # little-endian int64. They pin the outputs and the random stream: recorded
 # when generate stacked and copied its arrays and the engines scanned a copy
 # of the graph in scan order, they must not move with the memory layout.
+# The modified digests were recorded again when its edge order moved from
+# one edge permutation to iid tie-break bits; the edges' and greedy's did
+# not move.
 FROZEN = {
     # iid pairs, 5 of them redrawn
     "redraw": ((2000, 5000, 1000, 3), {
@@ -516,11 +576,11 @@ FROZEN = {
         "greedy.trajectory":
             "cbe822d5d2a7c38bd63c7d4c34cc1cabd7c441a74dad17634cd13a11d170df5f",
         "modified.matching":
-            "e02c46b0150c456802e6188ec7742e08f9496919a80059a711fd145e3552416a",
+            "9f2d9b8f564d0ba6d4e768bdeefdb26b679eda3dd304c81296707db42e2665d9",
         "modified.edge_ids":
-            "cebef98a2a8dc7e1b994947e597bc442d93c96acde51a4f57aba72d04971f147",
+            "cad77d4b761b7cebd5bff4922c4e2431cce65881151a7c90d395d628e6a62da4",
         "modified.trajectory":
-            "21a67f677d287c6d2c738de9d1eb3433239dcf98331e68d16540df00c427b479",
+            "fb2881c9b58d8584ff656fc0d95a3e1aa337a15187a485da4b94731dda216dc2",
     }),
     # 2m > n(n-1)/2: rng.choice over the listed pairs
     "dense": ((30, 300, 12, 4), {
@@ -533,11 +593,11 @@ FROZEN = {
         "greedy.trajectory":
             "da5388a944204d94b6ea939fb956819698d41eea57be673a1112315ec471b570",
         "modified.matching":
-            "d36856c16ca3e58cc99e907ee4f4ea5abfca4da1f124e4b345c3e0518611d33a",
+            "59b6c0872600c3e1144d7fa8088cd995eb0df181be98467032ecbe66243e96dc",
         "modified.edge_ids":
-            "94f017c0d11a4cc928600ba2cd27d23a32041406d37e7d773be7a3421e0ff130",
+            "c9f56622abc9ca04804b00fcc8a962477f5ee20c32078f7d2c6e9f67e06a37fe",
         "modified.trajectory":
-            "ba34068c8709fe320206ba15b85e07f8bdb042d06ad345597ac41f7aa46049b7",
+            "2b099637522f634cf1d6baff90512cbb0d7542a83ea147b20b71079b635cd596",
     }),
     # m = 0
     "no_edges": ((20, 0, 0, 5), {
@@ -567,9 +627,9 @@ FROZEN = {
         "greedy.trajectory":
             "26ab68ed2d8cc6ae52815a40889c8b7ef431a1d9b4cc30be7db2997b258e736d",
         "modified.matching":
-            "5b314506b655369296e0e3041283f26739e9a4e72735391f80e372a6f9ab1b73",
+            "1329fe7c73eeca2f5ff19515dc5d2ae8b81fcb7556dd79a10f29f925516bab30",
         "modified.edge_ids":
-            "78337eb87e78416aab1cba5c93351393ffc4c22907333a8d585a3049e8ced71a",
+            "9db4153983d9b27cd8cf2dd3ed43a2c93c8681834c69b28aa38ab437c7e38ebd",
         "modified.trajectory":
             "26ab68ed2d8cc6ae52815a40889c8b7ef431a1d9b4cc30be7db2997b258e736d",
     }),
@@ -584,11 +644,11 @@ FROZEN = {
         "greedy.trajectory":
             "6965c8fd3d1dcaa5c2718932b77233e63b0295c92e0d887d451b62f8ea4bb8af",
         "modified.matching":
-            "57f99621620e44960df53e14fc9776ce8a80c13660051ff29a9d49e27c9382ba",
+            "fcb56f80fe0acfa8fcb3e3418175e8aea2294dbb374891eb4d0fd7e946c3fb58",
         "modified.edge_ids":
-            "ef2f467225d0d074ee686d727edb44f3e7e405b066b28dc5884cb6d0b613ba14",
+            "7309672c58cc4c0bebd53b857eaa36961e12404e651bc8f861d109db3659475a",
         "modified.trajectory":
-            "7c3eb7097b36b007ca88ca7624a95f6c66777069c5ce41679fe9284d09fc0333",
+            "a480f571d4419ad66bea60118a5a8c38167cf4dd507a0d623934f6ad178d39a0",
     }),
 }
 
@@ -637,10 +697,10 @@ def test_counters_agree_with_the_trajectory(case, monkeypatch):
 
 # tracemalloc peak of each layer in bytes per edge at n = 2 * 10^4, c = 5,
 # kappa = 1/2, 14-16 % above the measured: generate 44, greedy 41.8 and
-# modified 54.4 with the graph they read, verify_result 10.9 above the graph
+# modified 48.0 with the graph they read, verify_result 10.9 above the graph
 # and the result (the graph's edges alone take 24). A layer that keeps one
 # more m-long int64 copy adds 8 and fails its budget.
-PEAK_BYTES_PER_EDGE = {"generate": 51, "greedy": 48, "modified": 62, "verify": 12.5}
+PEAK_BYTES_PER_EDGE = {"generate": 51, "greedy": 48, "modified": 55, "verify": 12.5}
 
 
 @pytest.mark.parametrize("algo", ["greedy", "modified"])
